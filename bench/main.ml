@@ -952,15 +952,14 @@ type strategy_run = {
   incr_misses : int;
 }
 
-let run_strategy ?(seed = 77) ?(incremental = false) ?(ncd_bound = false)
-    ~budget ~plateau profile bench strategy_name =
+let run_strategy ?(seed = 77) ?(incremental = false) ~budget ~plateau profile
+    bench strategy_name =
   let ast = Corpus.program bench in
   let baseline = preset_binary profile "O0" bench in
   let baseline_stream = Bintuner.Tuner.code_stream baseline in
   let ncd_cache = Compress.Sizecache.create () in
   let store = if incremental then Some (Bintuner.Incremental.create ()) else None in
   let snapshot = Option.map Bintuner.Incremental.snapshot_store store in
-  let incumbent = ref neg_infinity in
   let t0 = Unix.gettimeofday () in
   let best = ref neg_infinity in
   let improvements = ref [] in
@@ -974,7 +973,6 @@ let run_strategy ?(seed = 77) ?(incremental = false) ?(ncd_bound = false)
     in
     let ncds =
       Compress.Ncd.against ~pool:!pool ~cache:ncd_cache
-        ?incumbent:(if ncd_bound then Some !incumbent else None)
         ~baseline:baseline_stream streams
     in
     let bmax = Array.fold_left max neg_infinity ncds in
@@ -1010,9 +1008,7 @@ let run_strategy ?(seed = 77) ?(incremental = false) ?(ncd_bound = false)
         plateau_epsilon = 0.0 }
   in
   let outcome =
-    Search.run_scalar ~batch_fitness
-      ~notify_incumbent:(fun f -> incumbent := f)
-      ~rng ~termination ~problem ~fitness
+    Search.run_scalar ~batch_fitness ~rng ~termination ~problem ~fitness
       (Search.of_name strategy_name)
   in
   let wall_seconds = Unix.gettimeofday () -. t0 in
@@ -1461,64 +1457,6 @@ let ncd_bench () =
     "  size cache over a %dx%d ncd matrix run twice: %d hits / %d lookups (%.0f%% hit rate, %d entries)\n"
     (Array.length arr) (Array.length arr) hits lookups (100.0 *. hit_rate)
     (Compress.Sizecache.length cache);
-  (* NCD early-exit: one batch of candidates against a fixed baseline,
-     scored exhaustively and then with the incumbent-armed bound
-     (C(x·y) >= max(C(x),C(y))).  The incumbent sits just under the
-     batch's true maximum, so the winner still runs to completion (and
-     the argmax is preserved) while everything else may abort its pair
-     compression — the shape of a late-search tuner batch.  Fresh caches
-     per sweep: a warm cache would hide the compression being skipped. *)
-  let baseline_stream, candidates =
-    match streams with
-    | b :: rest -> (b, Array.of_list rest)
-    | [] -> ("", [||])
-  in
-  let exact =
-    Compress.Ncd.against
-      ~cache:(Compress.Sizecache.create ())
-      ~baseline:baseline_stream candidates
-  in
-  let exact_max = Array.fold_left max neg_infinity exact in
-  let incumbent = exact_max *. 0.999 in
-  let measure_against ?incumbent () =
-    let sweep () =
-      Compress.Ncd.against
-        ~cache:(Compress.Sizecache.create ())
-        ?incumbent ~baseline:baseline_stream candidates
-    in
-    ignore (sweep () : float array);
-    let t0 = Unix.gettimeofday () in
-    let reps = ref 0 in
-    while Unix.gettimeofday () -. t0 < min_time do
-      ignore (sweep () : float array);
-      incr reps
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    float_of_int (Array.length candidates * !reps) /. dt
-  in
-  let exhaustive_cps = measure_against () in
-  let bounded_cps = measure_against ~incumbent () in
-  let ee_speedup = bounded_cps /. exhaustive_cps in
-  let bounded =
-    Compress.Ncd.against
-      ~cache:(Compress.Sizecache.create ())
-      ~incumbent ~baseline:baseline_stream candidates
-  in
-  let argmax a =
-    let b = ref 0 in
-    Array.iteri (fun i v -> if v > a.(!b) then b := i) a;
-    !b
-  in
-  let argmax_preserved =
-    Array.length candidates = 0
-    || (argmax bounded = argmax exact
-       && Array.fold_left max neg_infinity bounded = exact_max)
-  in
-  printf
-    "  ncd early-exit vs exhaustive on %d candidates: %.1f -> %.1f cand/s \
-     (%.2fx), argmax preserved %b\n"
-    (Array.length candidates) exhaustive_cps bounded_cps ee_speedup
-    argmax_preserved;
   let oc = open_out "BENCH_ncd.json" in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
@@ -1534,14 +1472,8 @@ let ncd_bench () =
   out "  ],\n";
   out "  \"chained_default_vs_greedy_speedup\": %.2f,\n" speedup;
   out
-    "  \"size_cache\": {\"cold_misses\": %d, \"hits\": %d, \"lookups\": %d, \"hit_rate\": %.4f},\n"
+    "  \"size_cache\": {\"cold_misses\": %d, \"hits\": %d, \"lookups\": %d, \"hit_rate\": %.4f}\n"
     cold_misses hits lookups hit_rate;
-  out
-    "  \"early_exit\": {\"candidates\": %d, \"exhaustive_cands_per_sec\": %.2f, \
-     \"bounded_cands_per_sec\": %.2f, \"speedup\": %.2f, \
-     \"argmax_preserved\": %b}\n"
-    (Array.length candidates) exhaustive_cps bounded_cps ee_speedup
-    argmax_preserved;
   out "}\n";
   close_out oc;
   printf "  wrote BENCH_ncd.json\n"

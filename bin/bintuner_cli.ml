@@ -155,17 +155,6 @@ let tune_cmd =
                 pipeline prefix already compiled.  Lossless — results \
                 are identical on or off; only wall-clock changes.")
   in
-  let ncd_bound =
-    Arg.(value & flag
-         & info [ "ncd-bound" ]
-             ~doc:
-               "Arm the NCD early-exit: stop compressing candidates that \
-                provably cannot beat the batch's incumbent fitness.  \
-                Preserves every batch's argmax but clamps sub-incumbent \
-                scores, so full-run trajectories of score-consuming \
-                strategies may differ from exhaustive evaluation.  Ignored \
-                on multi-objective runs.")
-  in
   let objective_conv =
     let parse s =
       match Search.Objective.parse s with
@@ -192,7 +181,7 @@ let tune_cmd =
                 non-dominated front alongside the weighted-sum best.")
   in
   let run bench source profile arch lz_level iterations strategy jobs db trace
-      prof incremental ncd_bound objectives =
+      prof incremental objectives =
     Compress.Lz.set_default_level lz_level;
     let _, b = load_program ~bench ~source in
     let p = profile_of profile in
@@ -209,7 +198,7 @@ let tune_cmd =
     let r =
       Parallel.Pool.with_pool j (fun pool ->
           Bintuner.Tuner.tune ~arch:(arch_of arch) ~termination
-            ~strategy:(Search.of_name strategy) ~pool ~incremental ~ncd_bound
+            ~strategy:(Search.of_name strategy) ~pool ~incremental
             ~objectives ~profile:p b)
     in
     Printf.printf
@@ -256,7 +245,7 @@ let tune_cmd =
   Cmd.v (Cmd.info "tune" ~doc:"Run BinTuner's iterative compilation on a benchmark.")
     Term.(const run $ bench_arg $ source_arg $ profile_arg $ arch_arg
           $ lz_level_arg $ iterations $ strategy_arg $ jobs $ db $ trace $ prof
-          $ incremental $ ncd_bound $ objective_arg)
+          $ incremental $ objective_arg)
 
 let serve_cmd =
   let jobs =

@@ -1,124 +1,32 @@
 (* The prefix-keyed snapshot store behind incremental compilation: a
-   byte-bounded LRU over the marshaled pipeline stages that
-   [Toolchain.Pipeline] snapshots after every step.
-
-   Same structure and locking discipline as [Compress.Sizecache]: entries
-   live on a doubly-linked ring through a sentinel ([sentinel.next] most
-   recently used, [sentinel.prev] the eviction victim), and all
-   table/ring/counter state is guarded by one mutex.  Values are
-   immutable marshaled strings, so handing one to a racing worker is
-   safe, and a racing double-store of the same key keeps the first entry
-   (snapshots are deterministic per key, so both writers hold identical
-   bytes).
+   byte-bounded [Util.Lru] over the marshaled pipeline stages that
+   [Toolchain.Pipeline] snapshots after every step.  Values are immutable
+   marshaled strings, so handing one to a racing worker is safe, and a
+   racing double-store of the same key keeps the first entry (snapshots
+   are deterministic per key, so both writers hold identical bytes).
 
    The budget is bytes, not entries: one IR snapshot dwarfs a compressed-
    size integer, and what the tuner must bound is resident memory. *)
 
-type node = {
-  key : string;
-  value : string;
-  mutable ring_prev : node;
-  mutable ring_next : node;
-}
-
-type t = {
-  max_bytes : int;
-  table : (string, node) Hashtbl.t;
-  sentinel : node;
-  lock : Mutex.t;
-  mutable bytes : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-}
+type t = (string, string) Util.Lru.t
 
 let default_max_bytes = 64 * 1024 * 1024
-
-let create ?(max_bytes = default_max_bytes) () =
-  let rec sentinel =
-    { key = ""; value = ""; ring_prev = sentinel; ring_next = sentinel }
-  in
-  {
-    max_bytes = max 1 max_bytes;
-    table = Hashtbl.create 256;
-    sentinel;
-    lock = Mutex.create ();
-    bytes = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-  }
-
-let unlink n =
-  n.ring_prev.ring_next <- n.ring_next;
-  n.ring_next.ring_prev <- n.ring_prev
-
-let push_front t n =
-  n.ring_next <- t.sentinel.ring_next;
-  n.ring_prev <- t.sentinel;
-  t.sentinel.ring_next.ring_prev <- n;
-  t.sentinel.ring_next <- n
 
 (* ring + table bookkeeping charge per entry, beyond the payload *)
 let entry_overhead = 64
 
-let find t key =
-  Mutex.lock t.lock;
-  match Hashtbl.find_opt t.table key with
-  | Some n ->
-    t.hits <- t.hits + 1;
-    unlink n;
-    push_front t n;
-    let v = n.value in
-    Mutex.unlock t.lock;
-    Telemetry.add_count "incr.hit";
-    Some v
-  | None ->
-    t.misses <- t.misses + 1;
-    Mutex.unlock t.lock;
-    Telemetry.add_count "incr.miss";
-    None
-
-let store t key value =
-  let cost = String.length value + String.length key + entry_overhead in
-  (* an entry the whole budget cannot hold would only evict everything
-     else on its way to being evicted itself *)
-  if cost <= t.max_bytes then begin
-    Mutex.lock t.lock;
-    if not (Hashtbl.mem t.table key) then begin
-      let n =
-        { key; value; ring_prev = t.sentinel; ring_next = t.sentinel }
-      in
-      push_front t n;
-      Hashtbl.replace t.table key n;
-      t.bytes <- t.bytes + cost;
-      while t.bytes > t.max_bytes do
-        let victim = t.sentinel.ring_prev in
-        unlink victim;
-        Hashtbl.remove t.table victim.key;
-        t.bytes <-
-          t.bytes
-          - (String.length victim.value + String.length victim.key
-           + entry_overhead);
-        t.evictions <- t.evictions + 1
-      done
-    end;
-    Mutex.unlock t.lock
-  end
+let create ?(max_bytes = default_max_bytes) () =
+  Util.Lru.create
+    ~weight:(fun key value ->
+      String.length value + String.length key + entry_overhead)
+    ~telemetry:"incr" ~budget:(max 1 max_bytes) ()
 
 let snapshot_store t =
-  { Toolchain.Pipeline.find = find t; store = store t }
+  { Toolchain.Pipeline.find = Util.Lru.find t; store = Util.Lru.add t }
 
-let locked t read =
-  Mutex.lock t.lock;
-  let v = read t in
-  Mutex.unlock t.lock;
-  v
-
-let hits t = locked t (fun t -> t.hits)
-let misses t = locked t (fun t -> t.misses)
-let lookups t = locked t (fun t -> t.hits + t.misses)
-let evictions t = locked t (fun t -> t.evictions)
-let length t = locked t (fun t -> Hashtbl.length t.table)
-let bytes t = locked t (fun t -> t.bytes)
-let max_bytes t = t.max_bytes
+let hits = Util.Lru.hits
+let misses = Util.Lru.misses
+let lookups t = hits t + misses t
+let evictions = Util.Lru.evictions
+let bytes = Util.Lru.weight
+let max_bytes = Util.Lru.budget

@@ -3,9 +3,8 @@
     [Toolchain.Pipeline] snapshots the compilation stage after every
     pipeline step under a key chaining (program digest, profile, arch)
     with each applied step's parameterized identity; this module is the
-    cache those snapshots live in — a mutex-guarded, byte-bounded LRU
-    (the {!Compress.Sizecache} discipline, sized in bytes because the
-    values are whole marshaled IR stages).  One store is shared by every
+    cache those snapshots live in — a byte-bounded {!Util.Lru} (sized in
+    bytes because the values are whole marshaled IR stages).  One store is shared by every
     worker domain of a tuning run through {!snapshot_store}, so a flag
     vector evaluated on one worker seeds prefix resumes for its
     single-bit neighbours on every other worker.
@@ -28,14 +27,6 @@ val snapshot_store : t -> Toolchain.Pipeline.snapshot_store
 (** The closure record to inject into [Pipeline.compile_flags] /
     [compile] / [apply_passes].  Safe to share across domains. *)
 
-val find : t -> string -> string option
-(** Look a prefix key up, refreshing its recency.  Counts one hit or one
-    miss. *)
-
-val store : t -> string -> string -> unit
-(** Insert a snapshot (keep-first on a racing duplicate), evicting from
-    the LRU tail until the byte budget holds. *)
-
 val hits : t -> int
 
 val misses : t -> int
@@ -45,9 +36,6 @@ val lookups : t -> int
     cache tests assert. *)
 
 val evictions : t -> int
-
-val length : t -> int
-(** Resident entries. *)
 
 val bytes : t -> int
 (** Resident payload bytes (including a fixed per-entry overhead

@@ -13,8 +13,7 @@
 
     Under daemon traffic ({!Server}) one memo lives as long as the
     process and sees every job's binaries, so — unlike the unbounded
-    hashtable it once was — the table is a byte-bounded LRU with the
-    same ring discipline as {!Compress.Sizecache} and {!Incremental}:
+    hashtable it once was — the table is a byte-bounded {!Util.Lru}:
     least-recently-used binaries are evicted once the byte budget is
     exceeded, and eviction is lossless (recompiling an evicted key
     reproduces identical bytes; only counters and wall-clock move).
@@ -32,7 +31,8 @@ val default_max_bytes : int
 val create : ?enabled:bool -> ?max_bytes:int -> unit -> t
 (** A fresh, empty memo bounded to [max_bytes] of resident binary
     payload.  With [~enabled:false] every request compiles (and counts
-    as a miss) — the reference the differential tests compare against. *)
+    as a miss) and nothing is kept — the reference the differential
+    tests compare against. *)
 
 val key :
   program:string -> profile:string -> arch:Isa.Insn.arch -> bool array -> string

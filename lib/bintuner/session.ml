@@ -1,7 +1,7 @@
-(* A long-lived tuning session: the shared substrate serving mode
-   multiplexes jobs onto.  One-shot [Tuner.tune] creates its pool, memo,
-   size cache and incremental store per call and drops them on exit; a
-   session owns one of each and hands them to every job, so the second
+(* A tuning session: the shared substrate serving mode multiplexes jobs
+   onto, and — created per call and dropped on exit — the substrate of
+   one-shot [Tuner.tune].  A session owns one pool, memo, size cache per
+   level and incremental store and hands them to every job, so the second
    job over a corpus starts with the first job's compiles, compressed
    sizes and pass-prefix snapshots already warm.
 

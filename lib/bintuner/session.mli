@@ -1,10 +1,11 @@
 (** A long-lived tuning session — the shared caches and worker pool that
     serving mode multiplexes jobs onto.
 
-    One-shot {!Tuner.tune} builds its pool, {!Memo}, {!Compress.Sizecache}
-    and {!Incremental} store per call; passing a session instead makes
-    every job read and write the same instances, so jobs over the same
-    corpus hit each other's compiled binaries, compressed sizes and
+    Every {!Tuner.tune} call runs on a session: a one-shot call creates a
+    throwaway one and closes it on return; passing a long-lived session
+    instead makes every job read and write the same {!Memo},
+    {!Compress.Sizecache} and {!Incremental} instances, so jobs over the
+    same corpus hit each other's compiled binaries, compressed sizes and
     pass-prefix snapshots.  Optionally backed by a persistent {!Store},
     which also survives daemon restarts.
 

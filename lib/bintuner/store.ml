@@ -22,33 +22,19 @@
    quarantine/ and reported as a miss, never an error — the daemon
    recomputes and the broken bytes stay on disk for inspection.
 
-   Recency and the byte budget live in an in-memory index (the same
-   ring-LRU discipline as [Memo]/[Incremental]/[Compress.Sizecache]),
-   rebuilt at [create] by scanning the shards — file mtimes seed the
-   initial recency order, so a reopened store evicts cold entries first.
-   Eviction deletes the entry file.  All index state is mutex-guarded;
-   file reads and temp-file writes happen outside the lock so pool
+   Recency and the byte budget live in an in-memory [Util.Lru] index
+   from key digest to on-disk entry size, rebuilt at [create] by scanning
+   the shards — file mtimes seed the initial recency order, so a reopened
+   store evicts cold entries first.  Eviction deletes the entry file.
+   File reads and temp-file writes happen outside the index lock so pool
    workers sharing the store never serialize on each other's IO. *)
-
-type node = {
-  digest : string;  (* hex MD5 of the key — also the file name *)
-  cost : int;  (* on-disk bytes of the entry file *)
-  mutable ring_prev : node;
-  mutable ring_next : node;
-}
 
 type t = {
   dir : string;
-  max_bytes : int;
-  table : (string, node) Hashtbl.t;
-  sentinel : node;
-  lock : Mutex.t;
-  mutable bytes : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable quarantined : int;
-  mutable tmp_counter : int;
+  index : (string, int) Util.Lru.t;
+      (* hex MD5 of the key (also the file name) -> on-disk bytes *)
+  quarantined : int Atomic.t;
+  tmp_counter : int Atomic.t;
 }
 
 let default_max_bytes = 256 * 1024 * 1024
@@ -70,9 +56,9 @@ let is_tmp name =
   in
   has_sub 0
 
-let shard_dir t digest = Filename.concat t.dir (String.sub digest 0 2)
+let shard_dir dir digest = Filename.concat dir (String.sub digest 0 2)
 
-let entry_path t digest = Filename.concat (shard_dir t digest) digest
+let entry_path dir digest = Filename.concat (shard_dir dir digest) digest
 
 let quarantine_dir t = Filename.concat t.dir "quarantine"
 
@@ -86,52 +72,18 @@ let mkdir_p dir =
   in
   make dir
 
-let unlink n =
-  n.ring_prev.ring_next <- n.ring_next;
-  n.ring_next.ring_prev <- n.ring_prev
-
-let push_front t n =
-  n.ring_next <- t.sentinel.ring_next;
-  n.ring_prev <- t.sentinel;
-  t.sentinel.ring_next.ring_prev <- n;
-  t.sentinel.ring_next <- n
-
-(* Must be called with the lock held: drop the LRU tail until the byte
-   budget holds, deleting the backing files. *)
-let evict_to_budget t =
-  while t.bytes > t.max_bytes do
-    let victim = t.sentinel.ring_prev in
-    unlink victim;
-    Hashtbl.remove t.table victim.digest;
-    t.bytes <- t.bytes - victim.cost;
-    t.evictions <- t.evictions + 1;
-    (try Sys.remove (entry_path t victim.digest) with Sys_error _ -> ());
-    Telemetry.add_count "store.evict"
-  done
-
 let create ?(max_bytes = default_max_bytes) dir =
   mkdir_p dir;
-  let rec sentinel =
-    { digest = ""; cost = 0; ring_prev = sentinel; ring_next = sentinel }
-  in
-  let t =
-    {
-      dir;
-      max_bytes = max 1 max_bytes;
-      table = Hashtbl.create 1024;
-      sentinel;
-      lock = Mutex.create ();
-      bytes = 0;
-      hits = 0;
-      misses = 0;
-      evictions = 0;
-      quarantined = 0;
-      tmp_counter = 0;
-    }
+  let index =
+    Util.Lru.create
+      ~weight:(fun _ cost -> cost)
+      ~on_evict:(fun digest _ ->
+        try Sys.remove (entry_path dir digest) with Sys_error _ -> ())
+      ~telemetry:"store" ~budget:(max 1 max_bytes) ()
   in
   (* Rebuild the index from disk: sweep crash leftovers (*.tmp.*), stat
-     every entry, and thread the ring oldest-first so mtime seeds the
-     LRU order of a reopened store. *)
+     every entry, and insert oldest-first so mtime seeds the LRU order of
+     a reopened store (evicting to the budget on the way). *)
   let entries = ref [] in
   Array.iter
     (fun shard ->
@@ -151,18 +103,11 @@ let create ?(max_bytes = default_max_bytes) dir =
     (try Sys.readdir dir with Sys_error _ -> [||]);
   List.sort (fun (_, _, a) (_, _, b) -> compare a b) !entries
   |> List.iter (fun (digest, cost, _) ->
-         if not (Hashtbl.mem t.table digest) then begin
-           let n =
-             { digest; cost; ring_prev = t.sentinel; ring_next = t.sentinel }
-           in
-           push_front t n;
-           Hashtbl.replace t.table digest n;
-           t.bytes <- t.bytes + cost
-         end);
-  Mutex.lock t.lock;
-  evict_to_budget t;
-  Mutex.unlock t.lock;
-  t
+         (* an entry the whole budget cannot hold is never admitted *)
+         if cost > Util.Lru.budget index then
+           (try Sys.remove (entry_path dir digest) with Sys_error _ -> ())
+         else Util.Lru.add index digest cost);
+  { dir; index; quarantined = Atomic.make 0; tmp_counter = Atomic.make 0 }
 
 let dir t = t.dir
 
@@ -172,18 +117,11 @@ let key_digest key = Digest.to_hex (Digest.string key)
    from the index.  Racing quarantines of the same entry are harmless:
    the loser's rename fails silently and the index op is idempotent. *)
 let quarantine t digest =
-  Mutex.lock t.lock;
-  (match Hashtbl.find_opt t.table digest with
-  | Some n ->
-    unlink n;
-    Hashtbl.remove t.table digest;
-    t.bytes <- t.bytes - n.cost
-  | None -> ());
-  t.quarantined <- t.quarantined + 1;
-  Mutex.unlock t.lock;
+  Util.Lru.remove t.index digest;
+  Atomic.incr t.quarantined;
   mkdir_p (quarantine_dir t);
   (try
-     Sys.rename (entry_path t digest)
+     Sys.rename (entry_path t.dir digest)
        (Filename.concat (quarantine_dir t) digest)
    with Sys_error _ -> ());
   Telemetry.add_count "store.quarantine"
@@ -216,47 +154,23 @@ let read_entry path =
                 else Error `Torn))
           | _ -> Error `Torn))
 
+(* A served read is a hit; a cold key, a vanished file (a racing
+   eviction deleted it between the index lookup and the read) or a torn
+   one is a miss, and a torn entry is quarantined on the way out. *)
 let find t key =
   let digest = key_digest key in
-  Mutex.lock t.lock;
-  match Hashtbl.find_opt t.table digest with
-  | None ->
-    t.misses <- t.misses + 1;
-    Mutex.unlock t.lock;
-    Telemetry.add_count "store.miss";
-    None
-  | Some n ->
-    unlink n;
-    push_front t n;
-    Mutex.unlock t.lock;
-    (match read_entry (entry_path t digest) with
-    | Ok payload ->
-      Mutex.lock t.lock;
-      t.hits <- t.hits + 1;
-      Mutex.unlock t.lock;
-      Telemetry.add_count "store.hit";
-      Some payload
-    | Error `Gone ->
-      (* a racing eviction deleted the file between our index lookup and
-         the read — an ordinary miss, nothing to quarantine *)
-      Mutex.lock t.lock;
-      t.misses <- t.misses + 1;
-      (match Hashtbl.find_opt t.table digest with
-      | Some n ->
-        unlink n;
-        Hashtbl.remove t.table digest;
-        t.bytes <- t.bytes - n.cost
-      | None -> ());
-      Mutex.unlock t.lock;
-      Telemetry.add_count "store.miss";
-      None
-    | Error `Torn ->
-      Mutex.lock t.lock;
-      t.misses <- t.misses + 1;
-      Mutex.unlock t.lock;
-      Telemetry.add_count "store.miss";
-      quarantine t digest;
-      None)
+  let torn = ref false in
+  let found =
+    Util.Lru.find_valid t.index digest (fun _ ->
+        match read_entry (entry_path t.dir digest) with
+        | Ok payload -> Some payload
+        | Error `Gone -> None
+        | Error `Torn ->
+          torn := true;
+          None)
+  in
+  if !torn then quarantine t digest;
+  found
 
 let store t key payload =
   let digest = key_digest key in
@@ -265,51 +179,30 @@ let store t key payload =
       (Digest.to_hex (Digest.string payload))
   in
   let cost = String.length header + String.length payload in
-  (* an entry the whole budget cannot hold would only evict everything
-     else on its way to being evicted itself *)
-  if cost <= t.max_bytes then begin
-    Mutex.lock t.lock;
-    let already = Hashtbl.mem t.table digest in
-    let tmp_id = t.tmp_counter in
-    t.tmp_counter <- tmp_id + 1;
-    Mutex.unlock t.lock;
-    if not already then begin
-      let sdir = shard_dir t digest in
-      mkdir_p sdir;
-      let tmp =
-        Filename.concat sdir
-          (Printf.sprintf "%s.tmp.%d.%d" digest (Unix.getpid ()) tmp_id)
-      in
-      let oc = open_out_bin tmp in
-      (try
-         output_string oc header;
-         output_string oc payload;
-         close_out oc
-       with e ->
-         close_out_noerr oc;
-         (try Sys.remove tmp with Sys_error _ -> ());
-         raise e);
-      Mutex.lock t.lock;
-      if Hashtbl.mem t.table digest then begin
-        (* a racing worker published the same key first; entries are
-           deterministic per key, so keep-first is exact *)
-        Mutex.unlock t.lock;
-        try Sys.remove tmp with Sys_error _ -> ()
-      end
-      else begin
-        (match Sys.rename tmp (entry_path t digest) with
-        | () ->
-          let n =
-            { digest; cost; ring_prev = t.sentinel; ring_next = t.sentinel }
-          in
-          push_front t n;
-          Hashtbl.replace t.table digest n;
-          t.bytes <- t.bytes + cost;
-          evict_to_budget t
-        | exception Sys_error _ -> ());
-        Mutex.unlock t.lock
-      end
-    end
+  (* keep-first: entries are deterministic per key, so a resident or
+     racing publisher of the same key already holds these bytes; and an
+     entry the whole budget cannot hold is never written *)
+  if cost <= Util.Lru.budget t.index && not (Util.Lru.mem t.index digest)
+  then begin
+    let sdir = shard_dir t.dir digest in
+    mkdir_p sdir;
+    let tmp =
+      Filename.concat sdir
+        (Printf.sprintf "%s.tmp.%d.%d" digest (Unix.getpid ())
+           (Atomic.fetch_and_add t.tmp_counter 1))
+    in
+    let oc = open_out_bin tmp in
+    (try
+       output_string oc header;
+       output_string oc payload;
+       close_out oc
+     with e ->
+       close_out_noerr oc;
+       (try Sys.remove tmp with Sys_error _ -> ());
+       raise e);
+    match Sys.rename tmp (entry_path t.dir digest) with
+    | () -> Util.Lru.add t.index digest cost
+    | exception Sys_error _ -> ()
   end
 
 (* ------------------------------------------------------------------ *)
@@ -342,16 +235,10 @@ let store_size t key v = store t key (string_of_int v)
 (* Counters                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let locked t read =
-  Mutex.lock t.lock;
-  let v = read t in
-  Mutex.unlock t.lock;
-  v
-
-let hits t = locked t (fun t -> t.hits)
-let misses t = locked t (fun t -> t.misses)
-let evictions t = locked t (fun t -> t.evictions)
-let quarantined t = locked t (fun t -> t.quarantined)
-let length t = locked t (fun t -> Hashtbl.length t.table)
-let bytes t = locked t (fun t -> t.bytes)
-let max_bytes t = t.max_bytes
+let hits t = Util.Lru.hits t.index
+let misses t = Util.Lru.misses t.index
+let evictions t = Util.Lru.evictions t.index
+let quarantined t = Atomic.get t.quarantined
+let length t = Util.Lru.length t.index
+let bytes t = Util.Lru.weight t.index
+let max_bytes t = Util.Lru.budget t.index

@@ -20,8 +20,8 @@
     recompute: compilation and compression are pure, so a hit is
     bit-identical to a recompute and the store is lossless by
     construction (the serve differential test pins warm-store runs to
-    cold one-shot runs).  Domain-safe: index state is mutex-guarded,
-    file IO runs outside the lock.  Traffic is mirrored to telemetry as
+    cold one-shot runs).  Domain-safe: the index is a byte-weighted
+    {!Util.Lru} over entry files, and file IO runs outside its lock.  Traffic is mirrored to telemetry as
     [store.hit] / [store.miss] / [store.evict] / [store.quarantine]. *)
 
 type t

@@ -69,71 +69,58 @@ let functional_check bench bin0 bin =
 
 let tune ?(arch = Isa.Insn.X86_64) ?(params = Search.Genetic.default_params)
     ?(termination = Search.default_termination) ?(seed = 1) ?strategy ?pool
-    ?session ?(memoize = true) ?(incremental = true) ?(ncd_bound = false)
-    ?lz_level ?(objectives = Search.Objective.default)
+    ?session ?(memoize = true) ?(incremental = true) ?lz_level
+    ?(objectives = Search.Objective.default)
     ~(profile : Toolchain.Flags.profile) (bench : Corpus.benchmark) =
   let t0 = Unix.gettimeofday () in
   if objectives = [] then invalid_arg "Tuner.tune: empty objective spec";
   (* the paper's original problem — one NCD axis at unit weight — takes
-     the historical batched fast path below (incumbent early-exit and
-     all) and is bit-identical to the pre-vector tuner *)
+     the historical batched fast path below and is bit-identical to the
+     pre-vector tuner *)
   let scalar_ncd = Search.Objective.is_scalar_ncd objectives in
   let strategy =
     match strategy with
     | Some s -> s
     | None -> Search.Genetic.strategy ~params ()
   in
-  (* a pool we create ourselves is ours to shut down, on every exit; a
-     session's pool (like an explicit one) outlives the call *)
-  let owned_pool, pool =
-    match (pool, session) with
-    | Some p, _ -> (None, p)
-    | None, Some s -> (None, Session.pool s)
-    | None, None ->
-      let p = Parallel.Pool.create 1 in
-      (Some p, p)
+  (* a one-shot call is a throwaway session: its caches (and its pool,
+     unless the caller passed one) live exactly as long as the call *)
+  let throwaway = Option.is_none session in
+  let session =
+    if throwaway then Session.create ?pool () else Option.get session
   in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Parallel.Pool.shutdown owned_pool)
-  @@ fun () ->
+  let result, baseline =
+    Fun.protect ~finally:(fun () -> if throwaway then Session.close session)
+    @@ fun () ->
+  let pool = Option.value pool ~default:(Session.pool session) in
   let rng = Util.Rng.create (seed + Hashtbl.hash (bench.Corpus.bname, profile.profile_name)) in
   let ast = Corpus.program bench in
   (* the pass-prefix snapshot store: every compile of this run — across
      all worker domains — reads and writes one LRU of post-step IR
      snapshots, so single-flag neighbours resume mid-pipeline instead of
-     recompiling from source.  Lossless, hence safe to default on; under
-     a session the store is shared so later jobs resume from prefixes
+     recompiling from source.  Lossless, hence safe to default on; a
+     long-lived session shares it, so later jobs resume from prefixes
      earlier jobs produced. *)
   let prefix =
-    if not incremental then None
-    else
-      match session with
-      | Some s -> Some (Session.incremental s)
-      | None -> Some (Incremental.create ())
+    if incremental then Some (Session.incremental session) else None
   in
   let snapshot = Option.map Incremental.snapshot_store prefix in
   let baseline = Toolchain.Pipeline.compile_preset profile ~arch ?snapshot "O0" ast in
   let baseline_stream = code_stream baseline in
   (* every C(x) / C(x·baseline) term of this run goes through one
-     content-addressed cache: the baseline's solo size is compressed
-     once, and candidates the GA revisits hit instead of re-compressing.
-     Under a session the cache (one per compression level) is shared —
-     and, with a persistent store attached, durable. *)
+     content-addressed cache (one per compression level): the baseline's
+     solo size is compressed once, and candidates the GA revisits hit
+     instead of re-compressing.  With a persistent store attached to the
+     session it is durable too. *)
   let lz_level =
     match lz_level with Some l -> l | None -> Compress.Lz.default_level ()
   in
-  let ncd_cache =
-    match session with
-    | Some s -> Session.sizecache s lz_level
-    | None -> Compress.Sizecache.create ~level:lz_level ()
-  in
+  let ncd_cache = Session.sizecache session lz_level in
   let database = ref [] in
   let memo =
-    match session with
-    | Some s when memoize -> Session.memo s
-    | _ -> Memo.create ~enabled:memoize ()
+    if memoize then Session.memo session else Memo.create ~enabled:false ()
   in
-  let store = Option.bind session Session.store in
+  let store = Session.store session in
   (* shared caches carry traffic from earlier jobs; snapshot the counters
      so this result reports per-job deltas (for a fresh cache the deltas
      equal the raw counters, keeping one-shot results byte-identical) *)
@@ -209,10 +196,6 @@ let tune ?(arch = Isa.Insn.X86_64) ?(params = Search.Genetic.default_params)
       Some (Search.Objective.evaluator ~ncd:ncd_hook ?evasion:evasion_hook objectives)
     end
   in
-  (* Pinned by the engine before each batch (never mid-batch), so the
-     early-exit cap every worker prunes against is a pure function of
-     the sequential search state. *)
-  let incumbent = ref neg_infinity in
   (* One generation's worth of candidates at a time: compile + evaluation
      run in parallel across the pool (each candidate's objective vector
      is a pure function of its flag vector), then the iteration database
@@ -222,8 +205,7 @@ let tune ?(arch = Isa.Insn.X86_64) ?(params = Search.Genetic.default_params)
     let vecs =
       match evaluator with
       | None ->
-        (* scalar-NCD fast path: batched pair compression with the
-           optional incumbent early-exit bound *)
+        (* scalar-NCD fast path: batched pair compression *)
         let streams =
           Parallel.Pool.map pool
             (fun v ->
@@ -232,16 +214,13 @@ let tune ?(arch = Isa.Insn.X86_64) ?(params = Search.Genetic.default_params)
             vectors
         in
         let ncds =
-          Compress.Ncd.against ~pool ~span:"tuner.ncd"
-            ?incumbent:(if ncd_bound then Some !incumbent else None)
-            ~cache:ncd_cache ~baseline:baseline_stream streams
+          Compress.Ncd.against ~pool ~span:"tuner.ncd" ~cache:ncd_cache
+            ~baseline:baseline_stream streams
         in
         Array.map (fun n -> [| n |]) ncds
       | Some ev ->
         (* multi-objective: whole axis vectors per candidate, fanned
-           across the pool (the per-axis memos are mutex-guarded).  The
-           NCD early-exit bound stays off here — a pruned NCD is only an
-           upper bound, which would poison the Pareto archive. *)
+           across the pool (the per-axis memos are mutex-guarded) *)
         Parallel.Pool.map pool
           (fun v -> Search.Objective.evaluate ev (compile v))
           vectors
@@ -268,9 +247,8 @@ let tune ?(arch = Isa.Insn.X86_64) ?(params = Search.Genetic.default_params)
         repair = Toolchain.Constraints.repair profile rng;
       }
     in
-    Search.run ~batch_fitness
-      ~notify_incumbent:(fun f -> incumbent := f)
-      ~scalarize ~axes:axis_names ~rng ~termination ~problem ~fitness strategy
+    Search.run ~batch_fitness ~scalarize ~axes:axis_names ~rng ~termination
+      ~problem ~fitness strategy
   in
   (* Final selection: the GA typically ends with a set of near-tied best
      fitness values ("multiple different versions that all reveal the
@@ -351,7 +329,7 @@ let tune ?(arch = Isa.Insn.X86_64) ?(params = Search.Genetic.default_params)
         (name, Compress.Ncd.distance_via ncd_cache (code_stream bin) baseline_stream))
       [ "O0"; "O1"; "O2"; "O3"; "Os" ]
   in
-  {
+  ( {
     benchmark = bench.bname;
     profile_name = profile.profile_name;
     strategy = Search.name strategy;
@@ -367,10 +345,8 @@ let tune ?(arch = Isa.Insn.X86_64) ?(params = Search.Genetic.default_params)
     preset_ncd;
     iterations = outcome.evaluations;
     history = outcome.history;
-    wall_seconds = Unix.gettimeofday () -. t0;
-    functional_ok =
-      functional_check bench baseline best_binary
-      && functional_check bench baseline refined_binary;
+    wall_seconds = 0.0;
+    functional_ok = false;
     cache_hits = Memo.hits memo - memo_hits0;
     compilations = Memo.misses memo - memo_misses0;
     ncd_cache_hits = Compress.Sizecache.hits ncd_cache - ncd_hits0;
@@ -402,4 +378,14 @@ let tune ?(arch = Isa.Insn.X86_64) ?(params = Search.Genetic.default_params)
           0
           (Search.Objective.memo_counts ev));
     database = List.rev !database;
-  }
+  },
+    baseline )
+  in
+  (* The VM check needs no cache, so it runs once the call has let go of
+     the session: the caches of a throwaway session (tens of MB of IR
+     snapshots) are garbage by then rather than live through the check. *)
+  let functional_ok =
+    functional_check bench baseline result.best_binary
+    && functional_check bench baseline result.refined_binary
+  in
+  { result with functional_ok; wall_seconds = Unix.gettimeofday () -. t0 }

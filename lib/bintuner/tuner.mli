@@ -109,7 +109,6 @@ val tune :
   ?session:Session.t ->
   ?memoize:bool ->
   ?incremental:bool ->
-  ?ncd_bound:bool ->
   ?lz_level:Compress.Lz.level ->
   ?objectives:Search.Objective.spec ->
   profile:Toolchain.Flags.profile ->
@@ -127,8 +126,8 @@ val tune :
     [strategy] selects the search backend (default: the GA with
     [params]; [params] is ignored when an explicit strategy is given —
     build it with {!Search.Genetic.strategy} to parameterize the GA).
-    When [pool] is omitted the tuner creates a size-1 pool and shuts it
-    down on every exit, normal or exceptional.
+    When [pool] is omitted the session's pool is used — for a one-shot
+    call, a size-1 pool shut down on every exit, normal or exceptional.
 
     [incremental] (default on) shares one {!Incremental} pass-prefix
     snapshot store across every compile of the run, so candidates
@@ -139,9 +138,11 @@ val tune :
 
     [session] plugs the call into a long-lived {!Session}: the session's
     pool, compile memo, per-level size cache, incremental store and
-    (when attached) persistent artifact store replace the per-call
-    instances, so successive jobs over the same corpus hit each other's
-    entries.  Lossless like every cache here — a warm-session result is
+    (when attached) persistent artifact store serve the call, so
+    successive jobs over the same corpus hit each other's entries.
+    Without one, the call runs on a throwaway session created with
+    [pool] and closed on return — one-shot tuning and serving are one
+    code path.  Lossless like every cache here — a warm-session result is
     bit-identical to a cold one-shot result (the serve differential test
     pins this); cache counters in the result are per-call {e deltas}, so
     they mean the same thing either way.  An explicit [pool] still takes
@@ -152,18 +153,6 @@ val tune :
     (default {!Compress.Lz.default_level}) — serving mode routes the
     per-job [lz-level] parameter here rather than mutating the
     process-wide default.
-
-    [ncd_bound] (default OFF) arms the NCD early-exit: each batch is
-    scored against the search's pre-batch best, and candidates that
-    provably cannot beat it return a clamped score without finishing
-    their pair compression.  Argmax/best per batch — and therefore
-    [best_vector]/[best_ncd] trajectories driven only by strict
-    improvement — are preserved exactly, but sub-incumbent score values
-    are not, which perturbs strategies that consume loser scores (GA
-    tournaments, annealing acceptance) and the recorded [database].
-    Leave off where bit-reproducibility of full runs matters.  Ignored
-    on multi-objective runs — a pruned NCD is only an upper bound,
-    which would poison the Pareto archive.
 
     [objectives] selects the fitness axes and their scalarization
     weights ({!Search.Objective.parse} grammar: ["ncd,gadgets:0.5"]).

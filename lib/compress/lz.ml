@@ -636,96 +636,3 @@ let decompress packed =
 let compressed_size ?level s = String.length (compress ?level s)
 
 let compressed_size_pair ?level x y = String.length (compress_pair ?level x y)
-
-(* ------------------------------------------------------------------ *)
-(* Capped pair compression (NCD early-exit)                            *)
-(* ------------------------------------------------------------------ *)
-
-type bounded_size =
-  | Size of int
-  | At_most of int
-
-(* Worst-case coder output per remaining input byte.  A literal is one
-   symbol; every adaptive frequency is >= 1 against a total capped at
-   [bot - 256] < 2^16, so one symbol shrinks the range by at most ~16
-   bits — two bytes of output.  A match covers >= [min_match] input
-   bytes for marker + length + bucket symbols plus at most [hash_bits]
-   raw extra bits, which amortizes below the literal bound.  Three
-   bytes per input byte leaves margin for the carry-less coder's
-   underflow truncation; [bound_slop] absorbs boundary effects. *)
-let wc_bytes_per_input = 3
-
-let bound_slop = 64
-
-exception Early_exit of int
-
-let compressed_size_pair_bounded ?level ~cap x y =
-  let level = match level with Some l -> l | None -> !default_level_ref in
-  if cap < header_size then Size (compressed_size_pair ~level x y)
-  else begin
-    let n = String.length x + String.length y in
-    let enc = Encoder.create () in
-    let consumed = ref 0 in
-    (* An over-estimate of the final container size given the bytes
-       emitted so far: header + emitted + worst case for what is left +
-       the 4 flush bytes.  Monotonically tightening as input is
-       consumed; once even the over-estimate is within [cap] the exact
-       size provably is too, so compression can stop. *)
-    let check () =
-      let ub =
-        header_size
-        + Buffer.length enc.Encoder.buf
-        + 4
-        + (wc_bytes_per_input * (n - !consumed))
-        + bound_slop
-      in
-      if ub <= cap then raise_notrace (Early_exit ub)
-    in
-    match
-      (match level with
-      | Greedy ->
-        let main = Model.create 257 in
-        let len_model = Model.create (max_match - min_match + 1) in
-        let dist_model = Model.create 16 in
-        let emit = function
-          | Literal c ->
-            Model.encode main enc (Char.code c);
-            incr consumed;
-            check ()
-          | Match (len, dist) ->
-            Model.encode main enc match_marker;
-            Model.encode len_model enc (len - min_match);
-            let bucket = dist_bucket dist in
-            Model.encode dist_model enc bucket;
-            if bucket > 0 then encode_bits enc (dist - (1 lsl bucket)) bucket;
-            consumed := !consumed + len;
-            check ()
-        in
-        List.iter emit (tokenize_greedy x y)
-      | Chained depth ->
-        let main = Fmodel.create 257 in
-        let len_model = Fmodel.create (max_match - min_match + 1) in
-        let dist_model = Fmodel.create 16 in
-        let emit_literal c =
-          Fmodel.encode main enc (Char.code c);
-          incr consumed;
-          check ()
-        in
-        let emit_match len dist =
-          Fmodel.encode main enc match_marker;
-          Fmodel.encode len_model enc (len - min_match);
-          let bucket = dist_bucket dist in
-          Fmodel.encode dist_model enc bucket;
-          if bucket > 0 then encode_bits enc (dist - (1 lsl bucket)) bucket;
-          consumed := !consumed + len;
-          check ()
-        in
-        let s =
-          if String.length y = 0 then x
-          else pair_view (Domain.DLS.get workspace_key) x y
-        in
-        tokenize_chained ~depth:(max 1 depth) s n ~emit_literal ~emit_match)
-    with
-    | () -> Size (header_size + String.length (Encoder.finish enc))
-    | exception Early_exit ub -> At_most ub
-  end

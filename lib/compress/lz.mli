@@ -65,20 +65,3 @@ val compressed_size : ?level:level -> string -> int
 val compressed_size_pair : ?level:level -> string -> string -> int
 (** [compressed_size_pair x y = String.length (compress (x ^ y))] without
     the copy — the [C(x·y)] term. *)
-
-type bounded_size =
-  | Size of int  (** the exact pair size; compression ran to completion *)
-  | At_most of int
-      (** compression stopped early: the exact size is provably at most
-          this (and at most [cap]) *)
-
-val compressed_size_pair_bounded :
-  ?level:level -> cap:int -> string -> string -> bounded_size
-(** Capped variant of {!compressed_size_pair} for NCD early-exit: while
-    compressing, a conservative upper bound on the final size is
-    maintained from the bytes already emitted and a worst-case cost for
-    the input not yet consumed; as soon as that bound falls to [cap] or
-    below, compression aborts with [At_most bound].  [Size n] is
-    bit-equal to [compressed_size_pair x y]; [At_most u] guarantees
-    [compressed_size_pair x y <= u <= cap].  A [cap] below the container
-    overhead disables the abort path entirely. *)

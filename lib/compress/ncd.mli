@@ -18,12 +18,6 @@ val distance : ?level:Lz.level -> string -> string -> float
     [Lz.default_level ()]).  Symmetric up to compressor imperfection;
     0.0 when both are empty. *)
 
-val distance_cached : (string -> int) -> string -> string -> float
-(** [distance_cached csize x y] uses [csize] for the two solo terms (so a
-    caller can supply its own memo) and compresses only the
-    concatenation, at the default level.  Superseded by {!distance_via}
-    for new code; kept for callers carrying their own size function. *)
-
 val distance_via : Sizecache.t -> string -> string -> float
 (** [distance_via cache x y] — NCD with all three terms memoized in
     [cache] (at the cache's level).  Equal to {!distance} at that level,
@@ -32,7 +26,6 @@ val distance_via : Sizecache.t -> string -> string -> float
 val against :
   ?pool:Parallel.Pool.t ->
   ?span:string ->
-  ?incumbent:float ->
   cache:Sizecache.t ->
   baseline:string ->
   string array ->
@@ -41,18 +34,7 @@ val against :
     every [x], in input order.  The baseline's solo size is warmed before
     the fan-out.  [pool] parallelizes across workers (results are order-
     and scheduling-independent); [span] wraps each element's computation
-    in a telemetry span of that name.
-
-    [incumbent] arms the early-exit scorer: a candidate that provably
-    cannot score above the incumbent may stop compressing its pair term
-    early and comes back with a score that is [>= its exact NCD] and
-    [<= incumbent] (never cached); every candidate whose exact NCD
-    exceeds the incumbent is scored exactly, so the batch's argmax and
-    max against the incumbent equal exhaustive evaluation's.  Omitted
-    (or [neg_infinity]): exhaustive, byte-identical to the plain path.
-    Pruned scores are not exact — keep this off anywhere sub-incumbent
-    score {e values} feed decisions (Metropolis acceptance, tournament
-    selection, frozen sentinels). *)
+    in a telemetry span of that name. *)
 
 val matrix :
   ?pool:Parallel.Pool.t -> cache:Sizecache.t -> string array -> float array array

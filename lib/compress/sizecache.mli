@@ -8,8 +8,8 @@
     produced it — replacing the old ad-hoc physical-equality
     [baseline_csize] plumbing in the tuner.
 
-    Domain-safe: a mutex guards the table while compression runs outside
-    it, and the LRU bound keeps memory flat over long sweeps.  Cached
+    Built on {!Util.Lru}: a mutex guards the table while compression runs
+    outside it, and the LRU bound keeps memory flat over long sweeps.  Cached
     values are exact compressed sizes, so hitting the cache can never
     change an NCD result — only the {!hits}/{!misses} counters (also
     mirrored to telemetry as [sizecache.hit]/[sizecache.miss]) reveal it
@@ -33,12 +33,9 @@ type backing = {
     previously [save]d at this cache's level — the caller owns key
     disambiguation across levels. *)
 
-val default_capacity : int
-(** LRU bound used when [create]'s [?capacity] is omitted (4096). *)
-
 val create : ?capacity:int -> ?level:Lz.level -> ?backing:backing -> unit -> t
 (** [create ()] — an empty cache holding at most [capacity] entries
-    (least-recently-used evicted first).  [level] defaults to
+    (default 4096; least-recently-used evicted first).  [level] defaults to
     [Lz.default_level ()] {e at creation time}. *)
 
 val level : t -> Lz.level
@@ -53,19 +50,6 @@ val size_pair : t -> string -> string -> int
     memoized — the [C(x·y)] term.  The pair key is ordered: [x·y] and
     [y·x] are distinct streams with distinct sizes. *)
 
-val peek_pair : t -> string -> string -> int option
-(** Probe the pair entry without computing on a miss (counts a hit or a
-    miss like {!size_pair}; an in-memory miss still consults the backing
-    tier).  The NCD early-exit path probes first so a warm exact size
-    short-circuits the capped compression. *)
-
-val insert_pair : t -> string -> string -> int -> unit
-(** Publish an exact pair size computed outside the cache (keep-first on
-    a racing duplicate; evicts like any other insert; written through to
-    the backing tier; counts nothing).  Only ever insert values equal to
-    [Lz.compressed_size_pair ~level:(level t) x y] — upper bounds from a
-    pruned compression must not enter the table. *)
-
 val hits : t -> int
 (** Lookups served from the table. *)
 
@@ -73,6 +57,4 @@ val misses : t -> int
 (** Lookups that had to compress. *)
 
 val length : t -> int
-(** Entries currently resident (≤ {!capacity}). *)
-
-val capacity : t -> int
+(** Entries currently resident (at most [create]'s [capacity]). *)

@@ -37,9 +37,8 @@ type tracker = {
    into termination instead of a hang. *)
 let stale_generation_limit = 10_000
 
-let run ?batch_fitness ?(notify_incumbent = fun (_ : float) -> ())
-    ?(scalarize = fun (v : float array) -> v.(0)) ?(axes = []) ?archive ~rng
-    ~termination ~problem ~fitness strategy =
+let run ?batch_fitness ?(scalarize = fun (v : float array) -> v.(0))
+    ?(axes = []) ?archive ~rng ~termination ~problem ~fitness strategy =
   let open Strategy in
   let (module S : STRATEGY) = strategy in
   let batch =
@@ -99,11 +98,6 @@ let run ?batch_fitness ?(notify_incumbent = fun (_ : float) -> ())
       ~by:(Array.length population - List.length pending)
       (pfx ^ ".cache_hits");
     if pending <> [] then begin
-      (* the incumbent a batch hook may prune against is pinned to the
-         best BEFORE the batch — never a racing running-best — so the
-         scores (and therefore the whole run) stay independent of how
-         the hook schedules the batch's work *)
-      notify_incumbent st.best_fitness;
       let arr = Array.of_list pending in
       let fs = Telemetry.with_span (pfx ^ ".evaluate_batch") (fun () -> batch arr) in
       Array.iteri (fun i g -> record g fs.(i)) arr

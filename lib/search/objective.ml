@@ -18,7 +18,7 @@
 
    The static axes ([gadgets], [size]) are computed from one shared
    {!Binsight.Report.inspect} call per distinct binary, memoized in a
-   [Compress.Sizecache]-style content-addressed LRU; the injected axes
+   content-addressed [Util.Lru]; the injected axes
    get their own per-axis memos so re-proposed genomes never re-pay
    classification or compression. *)
 
@@ -120,72 +120,11 @@ let scalarize spec =
 
 (* --- per-axis memos ------------------------------------------------- *)
 
-(* A Sizecache-style content-addressed LRU, generic in the value: one
-   mutex around table + recency, compute outside the lock, keep-first on
-   racing duplicates (axis evaluation is deterministic, so the first
-   value is the value).  Recency is an insertion clock; eviction scans
-   for the stalest entry — fronts and populations keep these tables far
-   below capacity, so the O(n) scan never shows up in a profile. *)
-module Memo = struct
-  type 'v t = {
-    capacity : int;
-    table : (string, 'v * int ref) Hashtbl.t;
-    lock : Mutex.t;
-    mutable clock : int;
-    mutable hits : int;
-    mutable misses : int;
-  }
-
-  let create capacity =
-    {
-      capacity = max 1 capacity;
-      table = Hashtbl.create (min 1024 (max 16 capacity));
-      lock = Mutex.create ();
-      clock = 0;
-      hits = 0;
-      misses = 0;
-    }
-
-  let evict_stalest t =
-    let victim = ref None in
-    Hashtbl.iter
-      (fun k (_, tick) ->
-        match !victim with
-        | Some (_, best) when !tick >= best -> ()
-        | _ -> victim := Some (k, !tick))
-      t.table;
-    match !victim with None -> () | Some (k, _) -> Hashtbl.remove t.table k
-
-  let find_or_compute t key compute =
-    Mutex.lock t.lock;
-    match Hashtbl.find_opt t.table key with
-    | Some (v, tick) ->
-      t.hits <- t.hits + 1;
-      t.clock <- t.clock + 1;
-      tick := t.clock;
-      Mutex.unlock t.lock;
-      Telemetry.add_count "objective.memo.hit";
-      v
-    | None ->
-      t.misses <- t.misses + 1;
-      Mutex.unlock t.lock;
-      Telemetry.add_count "objective.memo.miss";
-      let v = compute () in
-      Mutex.lock t.lock;
-      if not (Hashtbl.mem t.table key) then begin
-        t.clock <- t.clock + 1;
-        Hashtbl.replace t.table key (v, ref t.clock);
-        if Hashtbl.length t.table > t.capacity then evict_stalest t
-      end;
-      Mutex.unlock t.lock;
-      v
-
-  let stats t =
-    Mutex.lock t.lock;
-    let s = (t.hits, t.misses) in
-    Mutex.unlock t.lock;
-    s
-end
+(* A content-addressed [Util.Lru] per axis, bounded to [capacity]
+   entries; axis evaluation is deterministic, so keep-first on a racing
+   duplicate is exact. *)
+let memo capacity =
+  Util.Lru.create ~telemetry:"objective.memo" ~budget:(max 1 capacity) ()
 
 let digest (bin : Isa.Binary.t) =
   Digest.string bin.Isa.Binary.text ^ Digest.string bin.Isa.Binary.data
@@ -195,8 +134,9 @@ let digest (bin : Isa.Binary.t) =
 type evaluator = {
   spec : spec;
   eval_axes : (Isa.Binary.t -> float) array;  (** one per spec axis *)
-  memos : (string * float Memo.t) list;  (** (axis name, memo) *)
-  inspect_memo : (float * float) Memo.t;
+  memos : (string * (string, float) Util.Lru.t) list;
+      (** (axis name, memo) *)
+  inspect_memo : (string, float * float) Util.Lru.t;
       (** digest -> (gadgets, size): both static axes off one inspect *)
 }
 
@@ -205,9 +145,9 @@ let default_capacity = 512
 let evaluator ?(gadget_k = Binsight.Gadgets.default_k)
     ?(capacity = default_capacity) ?ncd ?evasion spec =
   if spec = [] then invalid_arg "Objective.evaluator: empty spec";
-  let inspect_memo = Memo.create capacity in
+  let inspect_memo = memo capacity in
   let statics bin =
-    Memo.find_or_compute inspect_memo (digest bin) (fun () ->
+    Util.Lru.find_or_add inspect_memo (digest bin) (fun () ->
         let r =
           Telemetry.with_span "objective.inspect" (fun () ->
               Binsight.Report.inspect ~gadget_k bin)
@@ -218,7 +158,8 @@ let evaluator ?(gadget_k = Binsight.Gadgets.default_k)
   in
   let injected name hook memo =
     match hook with
-    | Some f -> fun bin -> Memo.find_or_compute memo (digest bin) (fun () -> f bin)
+    | Some f ->
+      fun bin -> Util.Lru.find_or_add memo (digest bin) (fun () -> f bin)
     | None ->
       invalid_arg
         (Printf.sprintf
@@ -232,11 +173,11 @@ let evaluator ?(gadget_k = Binsight.Gadgets.default_k)
     | Gadgets -> fun bin -> fst (statics bin)
     | Size -> fun bin -> snd (statics bin)
     | Ncd ->
-      let memo = Memo.create capacity in
+      let memo = memo capacity in
       memos := ("ncd", memo) :: !memos;
       injected "ncd" ncd memo
     | Evasion ->
-      let memo = Memo.create capacity in
+      let memo = memo capacity in
       memos := ("evasion", memo) :: !memos;
       injected "evasion" evasion memo
   in
@@ -248,13 +189,6 @@ let evaluate ev bin = Array.map (fun f -> f bin) ev.eval_axes
 (* (memo name, hits, misses) for every memo the evaluator owns — the
    tuner folds these into its cache counters. *)
 let memo_counts ev =
-  let inspect =
-    let h, m = Memo.stats ev.inspect_memo in
-    [ ("inspect", h, m) ]
-  in
-  inspect
-  @ List.map
-      (fun (name, memo) ->
-        let h, m = Memo.stats memo in
-        (name, h, m))
-      ev.memos
+  let counts name m = (name, Util.Lru.hits m, Util.Lru.misses m) in
+  counts "inspect" ev.inspect_memo
+  :: List.map (fun (name, m) -> counts name m) ev.memos

@@ -49,15 +49,14 @@ let run = Engine.run
    scalarizing with the (default) identity leaves the engine's decision
    trace bit-identical to the pre-vector float engine — this is the
    entry point the frozen-GA differential locks. *)
-let run_scalar ?batch_fitness ?notify_incumbent ?archive ~rng ~termination
-    ~problem ~fitness strategy =
+let run_scalar ?batch_fitness ?archive ~rng ~termination ~problem ~fitness
+    strategy =
   let batch_fitness =
     match batch_fitness with
     | None -> None
     | Some f -> Some (fun genomes -> Array.map (fun x -> [| x |]) (f genomes))
   in
-  Engine.run ?batch_fitness ?notify_incumbent ?archive ~rng ~termination
-    ~problem
+  Engine.run ?batch_fitness ?archive ~rng ~termination ~problem
     ~fitness:(fun g -> [| fitness g |])
     strategy
 

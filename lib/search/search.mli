@@ -99,7 +99,6 @@ val of_name : string -> strategy
 
 val run :
   ?batch_fitness:(bool array array -> float array array) ->
-  ?notify_incumbent:(float -> unit) ->
   ?scalarize:(float array -> float) ->
   ?axes:string list ->
   ?archive:Pareto.t ->
@@ -134,17 +133,10 @@ val run :
     The seed batch is evaluated unconditionally; every later batch is
     gated on the budget and the plateau window.  The plateau test is
     relative gain at a positive incumbent and absolute gain at a zero or
-    negative one (a relative test divides by zero or flips sign there).
-    [notify_incumbent] is called with the best {e scalarized} fitness so
-    far immediately before each batch is scored (so [neg_infinity]
-    before the seed batch) — the hook through which a batch evaluator
-    learns the score a candidate must beat (NCD early-exit); the value
-    is pinned per batch, keeping pruning decisions
-    scheduling-independent. *)
+    negative one (a relative test divides by zero or flips sign there). *)
 
 val run_scalar :
   ?batch_fitness:(bool array array -> float array) ->
-  ?notify_incumbent:(float -> unit) ->
   ?archive:Pareto.t ->
   rng:Util.Rng.t ->
   termination:termination ->

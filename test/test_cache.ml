@@ -257,15 +257,16 @@ let test_tuner_reports_sizecache_traffic () =
 let test_incremental_counters () =
   let module I = Bintuner.Incremental in
   let t = I.create ~max_bytes:4096 () in
+  let s = I.snapshot_store t in
   Alcotest.(check (pair int int)) "fresh" (0, 0) (I.hits t, I.misses t);
   Alcotest.(check int) "fresh lookups" 0 (I.lookups t);
-  Alcotest.(check (option string)) "cold miss" None (I.find t "k1");
-  I.store t "k1" "v1";
-  Alcotest.(check (option string)) "warm hit" (Some "v1") (I.find t "k1");
-  I.store t "k1" "v2";
-  Alcotest.(check (option string)) "keep-first" (Some "v1") (I.find t "k1");
-  I.store t "big" (String.make 8192 'x');
-  Alcotest.(check (option string)) "oversized refused" None (I.find t "big");
+  Alcotest.(check (option string)) "cold miss" None (s.find "k1");
+  s.store "k1" "v1";
+  Alcotest.(check (option string)) "warm hit" (Some "v1") (s.find "k1");
+  s.store "k1" "v2";
+  Alcotest.(check (option string)) "keep-first" (Some "v1") (s.find "k1");
+  s.store "big" (String.make 8192 'x');
+  Alcotest.(check (option string)) "oversized refused" None (s.find "big");
   Alcotest.(check int) "lookups = hits + misses"
     (I.hits t + I.misses t) (I.lookups t);
   Alcotest.(check bool) "bytes within budget" true

@@ -95,7 +95,7 @@ let test_ncd_partial_overlap_ordering () =
   let d_far = Compress.Ncd.distance base far in
   Alcotest.(check bool) "more overlap, smaller distance" true (d_near < d_far)
 
-(* --- the pair-size lower bound and the capped compressor --- *)
+(* --- the pair-size lower bound --- *)
 
 let bound_levels = [ Compress.Lz.Greedy; Compress.Lz.Chained 128; Compress.Lz.Chained 4 ]
 
@@ -110,8 +110,8 @@ let pair_gen =
 let structure (y, reps) = y ^ String.concat "" (List.init (reps mod 8) (fun _ -> y))
 
 (* C(x·y) >= max(C(x), C(y)): concatenating can never compress below
-   either part alone.  This is the inequality the NCD early-exit prunes
-   with, so it is pinned at every level, not just the default. *)
+   either part alone — the inequality that keeps NCD non-negative — so
+   it is pinned at every level, not just the default. *)
 let prop_pair_size_lower_bound =
   QCheck.Test.make ~name:"pair size >= max of solo sizes, every level" ~count:120
     pair_gen
@@ -123,76 +123,6 @@ let prop_pair_size_lower_bound =
           let cy = Compress.Lz.compressed_size ~level y in
           Compress.Lz.compressed_size_pair ~level x y >= max cx cy)
         bound_levels)
-
-(* Soundness of the capped compressor against the exact one: [Size n] is
-   the exact size to the bit, and [At_most u] really is an upper bound
-   that also honours the cap — at every level, for caps below, at and
-   above the exact size. *)
-let prop_bounded_pair_sound =
-  QCheck.Test.make ~name:"capped pair compression sound vs exact" ~count:80
-    QCheck.(pair pair_gen small_nat)
-    (fun ((x, tail), capseed) ->
-      let y = structure tail in
-      List.for_all
-        (fun level ->
-          let exact = Compress.Lz.compressed_size_pair ~level x y in
-          List.for_all
-            (fun cap ->
-              match Compress.Lz.compressed_size_pair_bounded ~level ~cap x y with
-              | Compress.Lz.Size n -> n = exact
-              | Compress.Lz.At_most u -> exact <= u && u <= cap)
-            [ -1; 0; exact - 1 - (capseed mod 16); exact; exact + capseed ])
-        bound_levels)
-
-(* The batch scorer with an incumbent vs exhaustive scoring: every score
-   strictly above the incumbent is exact, every pruned score sits in
-   [exact, incumbent], and the batch's argmax/max are preserved whenever
-   anything beats the incumbent.  Pruned upper bounds must never pollute
-   the shared size cache — re-scoring exhaustively through the same cache
-   must still be exact. *)
-let prop_against_incumbent_equivalent =
-  QCheck.Test.make ~name:"ncd early-exit preserves batch argmax and winners"
-    ~count:40
-    QCheck.(
-      pair
-        (list_of_size Gen.(1 -- 8) pair_gen)
-        (pair (string_gen_of_size Gen.(1 -- 400) Gen.char) small_nat))
-    (fun (cands, (baseline, iseed)) ->
-      let xs = Array.of_list (List.map (fun (x, t) -> x ^ structure t) cands) in
-      let exact_cache = Compress.Sizecache.create () in
-      let exact =
-        Compress.Ncd.against ~cache:exact_cache ~baseline xs
-      in
-      let mx = Array.fold_left max neg_infinity exact in
-      (* incumbents below, within and above the batch's score range *)
-      let incumbent =
-        match iseed mod 4 with
-        | 0 -> neg_infinity
-        | 1 -> 0.0
-        | 2 -> mx *. 0.9
-        | _ -> mx +. 0.05
-      in
-      let cache = Compress.Sizecache.create () in
-      let pruned = Compress.Ncd.against ~incumbent ~cache ~baseline xs in
-      let sound =
-        Array.for_all2
-          (fun e p ->
-            if e > incumbent then p = e else p >= e && p <= max incumbent e)
-          exact pruned
-      in
-      let argmax a =
-        let best = ref 0 in
-        Array.iteri (fun i v -> if v > a.(!best) then best := i) a;
-        !best
-      in
-      let winners_kept =
-        mx <= incumbent
-        || (argmax pruned = argmax exact
-           && Array.fold_left max neg_infinity pruned = mx)
-      in
-      (* the same cache, re-queried exhaustively: still exact *)
-      let rescore = Compress.Ncd.against ~cache ~baseline xs in
-      sound && winners_kept && rescore = exact)
 
 let prop_ncd_range =
   QCheck.Test.make ~name:"ncd in [0, ~1.1]" ~count:60
@@ -217,6 +147,4 @@ let tests =
     Alcotest.test_case "ncd ordering" `Quick test_ncd_partial_overlap_ordering;
     QCheck_alcotest.to_alcotest prop_ncd_range;
     QCheck_alcotest.to_alcotest prop_pair_size_lower_bound;
-    QCheck_alcotest.to_alcotest prop_bounded_pair_sound;
-    QCheck_alcotest.to_alcotest prop_against_incumbent_equivalent;
   ]
