@@ -53,17 +53,19 @@ let in_eval_set name = List.exists (fun b -> b.Corpus.bname = name) (eval_set ()
 let tune_cache : (string * string * Isa.Insn.arch, Bintuner.Tuner.result) Hashtbl.t =
   Hashtbl.create 64
 
+let counter = Bintuner.Tuner.counter
+
 let report_tuned bench (profile : Toolchain.Flags.profile)
     (r : Bintuner.Tuner.result) =
   printf
     "  [tuned] %-18s %-9s iters=%-4d NCD=%.3f functional=%b memo=%d/%d ncd-cache=%d/%d incr=%d/%d\n%!"
     bench.Corpus.bname profile.profile_name r.iterations r.best_ncd
-    r.functional_ok r.cache_hits
-    (r.cache_hits + r.compilations)
-    r.ncd_cache_hits
-    (r.ncd_cache_hits + r.ncd_cache_misses)
-    r.incr_hits
-    (r.incr_hits + r.incr_misses)
+    r.functional_ok (counter r "memo.hit")
+    (counter r "memo.hit" + counter r "memo.miss")
+    (counter r "sizecache.hit")
+    (counter r "sizecache.hit" + counter r "sizecache.miss")
+    (counter r "incr.hit")
+    (counter r "incr.hit" + counter r "incr.miss")
 
 let tuned ?(arch = Isa.Insn.X86_64) profile bench =
   let key = (profile.Toolchain.Flags.profile_name, bench.Corpus.bname, arch) in
@@ -304,15 +306,16 @@ let table1 () =
       List.iter
         (fun b ->
           let r = tuned profile b in
-          hits := !hits + r.Bintuner.Tuner.cache_hits;
-          requests := !requests + r.cache_hits + r.compilations;
-          ihits := !ihits + r.incr_hits;
-          ilookups := !ilookups + r.incr_hits + r.incr_misses;
+          hits := !hits + counter r "memo.hit";
+          requests := !requests + counter r "memo.hit" + counter r "memo.miss";
+          ihits := !ihits + counter r "incr.hit";
+          ilookups := !ilookups + counter r "incr.hit" + counter r "incr.miss";
           Buffer.add_string buf
             (Printf.sprintf "%s/%s best=%s ncd=%.6f iters=%d memo=%d+%d %s\n"
                r.benchmark r.profile_name
                (Bintuner.Database.vector_to_string r.best_vector)
-               r.best_ncd r.iterations r.cache_hits r.compilations
+               r.best_ncd r.iterations (counter r "memo.hit")
+               (counter r "memo.miss")
                (String.concat ","
                   (List.map
                      (fun (i, f) -> Printf.sprintf "%d:%.6f" i f)
@@ -1354,7 +1357,10 @@ let pareto_bench () =
         bench.Corpus.bname profile.Toolchain.Flags.profile_name
         (List.length front) best_ncd gadgets_at_best
         (match forfeit with Some d -> Printf.sprintf "%.4f" d | None -> "null")
-        r.iterations r.objective_hits r.objective_misses wall points
+        r.iterations
+        (counter r "objective.memo.hit")
+        (counter r "objective.memo.miss")
+        wall points
         (if i = List.length cases - 1 then "" else ","))
     cases;
   out "  ],\n";
@@ -1533,13 +1539,13 @@ let serve_bench () =
                 (fun () ->
                   ignore (Bintuner.Server.handle_line srv job);
                   match Bintuner.Server.completed srv with
-                  | [ j ] -> j
+                  | [ j ] -> j.Bintuner.Server.result
                   | _ -> failwith ("serve bench: job failed on " ^ bench.bname))
             in
             let cold = run_daemon () in
             let warm = run_daemon () in
             let identical =
-              cold.Bintuner.Server.best_vector = warm.Bintuner.Server.best_vector
+              cold.Bintuner.Tuner.best_vector = warm.Bintuner.Tuner.best_vector
               && cold.best_ncd = warm.best_ncd
               && cold.iterations = warm.iterations
             in
@@ -1548,8 +1554,8 @@ let serve_bench () =
               "  %-18s cold %6.2fs -> warm %6.2fs (%.2fx)  store hits \
                %d/%d  identical=%b\n%!"
               bench.Corpus.bname cold.wall_seconds warm.wall_seconds speedup
-              warm.store_hits
-              (warm.store_hits + warm.store_misses)
+              (counter warm "store.hit")
+              (counter warm "store.hit" + counter warm "store.miss")
               identical;
             (bench, cold, warm, speedup, identical)))
       benches
@@ -1561,12 +1567,12 @@ let serve_bench () =
   out "  \"cases\": [\n";
   List.iteri
     (fun i (bench, cold, warm, speedup, identical) ->
-      let side (j : Bintuner.Server.job_summary) =
+      let side (j : Bintuner.Tuner.result) =
         Printf.sprintf
           "{\"wall_seconds\": %.3f, \"store_hits\": %d, \"store_misses\": %d, \
            \"compilations\": %d}"
-          j.Bintuner.Server.wall_seconds j.store_hits j.store_misses
-          j.compilations
+          j.wall_seconds (counter j "store.hit") (counter j "store.miss")
+          (counter j "memo.miss")
       in
       out
         "    {\"benchmark\": %S, \"profile\": \"gcc-10.2\", \"cold\": %s, \

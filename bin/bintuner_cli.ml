@@ -219,13 +219,14 @@ let tune_cmd =
                (List.map (Printf.sprintf "%.3f") (Array.to_list f))))
         r.front
     end;
+    let counter = Bintuner.Tuner.counter r in
     Printf.printf "compile memo: %d of %d compile requests served from cache (-j %d)\n"
-      r.cache_hits (r.cache_hits + r.compilations) j;
+      (counter "memo.hit") (counter "memo.hit" + counter "memo.miss") j;
     if incremental then
       Printf.printf
         "prefix cache: %d of %d snapshot lookups hit (compiles resume \
          mid-pipeline)\n"
-        r.incr_hits (r.incr_hits + r.incr_misses);
+        (counter "incr.hit") (counter "incr.hit" + counter "incr.miss");
     List.iter (fun (n, v) -> Printf.printf "  %-3s fitness %.3f\n" n v) r.preset_ncd;
     Printf.printf "flags: %s\n"
       (String.concat " " (Bintuner.Tuner.flags_enabled p r.best_vector));

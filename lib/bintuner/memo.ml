@@ -24,11 +24,10 @@ let binary_cost key (b : Isa.Binary.t) =
   + (8 * Array.length b.data_words)
   + String.length key + entry_overhead
 
-(* A disabled memo is one with no budget: every lookup misses (and is
-   counted) and no binary is ever admitted. *)
-let create ?(enabled = true) ?(max_bytes = default_max_bytes) () =
-  Util.Lru.create ~weight:binary_cost ~telemetry:"memo"
-    ~budget:(if enabled then max 1 max_bytes else 0)
+(* No binary fits a budget of 0 (clamped to one byte): every lookup then
+   misses (and is counted) and nothing is admitted. *)
+let create ?(max_bytes = default_max_bytes) () =
+  Util.Lru.create ~weight:binary_cost ~telemetry:"memo" ~budget:(max 1 max_bytes)
     ()
 
 let hits = Util.Lru.hits

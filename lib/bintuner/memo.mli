@@ -8,8 +8,8 @@
     function of that quadruple, so a memo layer can serve repeats from
     cache without any effect on results; the cache-correctness tests
     assert exactly that, and the hit/miss counters are reported in
-    {!Tuner.result} so every experiment shows how much compilation it
-    avoided.
+    {!Tuner.result}'s [counters] ([memo.hit]/[memo.miss]) so every
+    experiment shows how much compilation it avoided.
 
     Under daemon traffic ({!Server}) one memo lives as long as the
     process and sees every job's binaries, so — unlike the unbounded
@@ -28,11 +28,11 @@ type t
 val default_max_bytes : int
 (** Byte budget used when [create]'s [?max_bytes] is omitted (128 MiB). *)
 
-val create : ?enabled:bool -> ?max_bytes:int -> unit -> t
+val create : ?max_bytes:int -> unit -> t
 (** A fresh, empty memo bounded to [max_bytes] of resident binary
-    payload.  With [~enabled:false] every request compiles (and counts
-    as a miss) and nothing is kept — the reference the differential
-    tests compare against. *)
+    payload.  With [~max_bytes:0] every request compiles (and counts as
+    a miss) and nothing is kept — the reference the differential tests
+    compare against, reached through [Session.create ~memo_max_bytes:0]. *)
 
 val key :
   program:string -> profile:string -> arch:Isa.Insn.arch -> bool array -> string

@@ -24,8 +24,9 @@
 
    Jobs run sequentially on the daemon thread (the pool parallelizes
    inside a job); [handle_line] is the whole protocol, so tests drive a
-   server in-process without sockets, and the same function backs both
-   the stdin/stdout mode (CI smoke) and the Unix-socket accept loop. *)
+   server in-process without sockets, and one transport loop over it
+   backs both the stdin/stdout mode (CI smoke) and the Unix-socket
+   accept loop.  Responses are built as [Util.Json] values. *)
 
 type job = {
   id : int;
@@ -39,31 +40,9 @@ type job = {
   objective : Search.Objective.spec;
 }
 
-type job_summary = {
-  job_id : int;
-  benchmark : string;
-  profile : string;
-  arch : string;
-  strategy : string;
-  objectives : string list;
-  iterations : int;
-  best_ncd : float;
-  best_vector : bool array;
-  best_scores : float array;
-  front : (bool array * float array) list;
-  functional_ok : bool;
-  wall_seconds : float;
-  cache_hits : int;
-  compilations : int;
-  ncd_cache_hits : int;
-  ncd_cache_misses : int;
-  incr_hits : int;
-  incr_misses : int;
-  store_hits : int;
-  store_misses : int;
-  objective_hits : int;
-  objective_misses : int;
-}
+(* one completed job; the iteration database is dropped, since the
+   daemon keeps every summary for [status] *)
+type job_summary = { job_id : int; result : Tuner.result }
 
 type t = {
   session : Session.t;
@@ -87,36 +66,7 @@ let queue_depth t = Queue.length t.queue
 
 let close t = Session.close t.session
 
-(* ------------------------------------------------------------------ *)
-(* JSON emission (hand-rolled; responses are flat and small)           *)
-(* ------------------------------------------------------------------ *)
-
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let obj fields = "{" ^ String.concat "," fields ^ "}"
-let arr items = "[" ^ String.concat "," items ^ "]"
-let jstr k v = Printf.sprintf "\"%s\":\"%s\"" k (escape v)
-let jint k v = Printf.sprintf "\"%s\":%d" k v
-let jbool k v = Printf.sprintf "\"%s\":%b" k v
-
-(* %.17g round-trips every finite double and is a valid JSON number *)
-let jfloat k v = Printf.sprintf "\"%s\":%.17g" k v
-
-let error_response msg = obj [ jbool "ok" false; jstr "error" msg ]
+let error_response msg = Util.Json.(Obj [ ("ok", Bool false); ("error", Str msg) ])
 
 (* ------------------------------------------------------------------ *)
 (* Job parsing                                                         *)
@@ -218,47 +168,33 @@ let parse_job t tokens =
 (* Running jobs                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let jfloats k vs =
-  Printf.sprintf "\"%s\":%s" k
-    (arr (List.map (Printf.sprintf "%.17g") (Array.to_list vs)))
+let counters_json counters =
+  Util.Json.Obj (List.map (fun (k, n) -> (k, Util.Json.Int n)) counters)
 
-let front_json front =
-  arr
-    (List.map
-       (fun (v, f) ->
-         obj
-           [
-             jstr "vector" (Database.vector_to_string v);
-             jfloats "fitness" f;
-           ])
-       front)
-
-let summary_fields s =
+let summary_fields { job_id; result = r } =
+  let open Util.Json in
+  let floats vs = List (Array.to_list (Array.map (fun v -> Float v) vs)) in
+  let vector v = Str (Database.vector_to_string v) in
   [
-    jint "job" s.job_id;
-    jstr "benchmark" s.benchmark;
-    jstr "profile" s.profile;
-    jstr "arch" s.arch;
-    jstr "strategy" s.strategy;
-    jstr "objectives" (String.concat "," s.objectives);
-    jint "iterations" s.iterations;
-    jfloat "best_ncd" s.best_ncd;
-    jstr "best_vector" (Database.vector_to_string s.best_vector);
-    jfloats "best_scores" s.best_scores;
-    jint "front_size" (List.length s.front);
-    Printf.sprintf "\"front\":%s" (front_json s.front);
-    jbool "functional_ok" s.functional_ok;
-    jfloat "wall_seconds" s.wall_seconds;
-    jint "cache_hits" s.cache_hits;
-    jint "compilations" s.compilations;
-    jint "ncd_cache_hits" s.ncd_cache_hits;
-    jint "ncd_cache_misses" s.ncd_cache_misses;
-    jint "incr_hits" s.incr_hits;
-    jint "incr_misses" s.incr_misses;
-    jint "store_hits" s.store_hits;
-    jint "store_misses" s.store_misses;
-    jint "objective_hits" s.objective_hits;
-    jint "objective_misses" s.objective_misses;
+    ("job", Int job_id);
+    ("benchmark", Str r.Tuner.benchmark);
+    ("profile", Str r.profile_name);
+    ("arch", Str (Isa.Insn.arch_name r.arch));
+    ("strategy", Str r.strategy);
+    ("objectives", Str (String.concat "," r.objectives));
+    ("iterations", Int r.iterations);
+    ("best_ncd", Float r.best_ncd);
+    ("best_vector", vector r.best_vector);
+    ("best_scores", floats r.best_scores);
+    ("front_size", Int (List.length r.front));
+    ( "front",
+      List
+        (List.map
+           (fun (v, f) -> Obj [ ("vector", vector v); ("fitness", floats f) ])
+           r.front) );
+    ("functional_ok", Bool r.functional_ok);
+    ("wall_seconds", Float r.wall_seconds);
+    ("counters", counters_json r.counters);
   ]
 
 let run_job t (j : job) =
@@ -289,36 +225,10 @@ let run_job t (j : job) =
     error_response
       (Printf.sprintf "job %d failed: %s" j.id (Printexc.to_string e))
   | r ->
-    let s =
-      {
-        job_id = j.id;
-        benchmark = r.Tuner.benchmark;
-        profile = r.profile_name;
-        arch = Isa.Insn.arch_name r.arch;
-        strategy = r.strategy;
-        objectives = r.objectives;
-        iterations = r.iterations;
-        best_ncd = r.best_ncd;
-        best_vector = r.best_vector;
-        best_scores = r.best_scores;
-        front = r.front;
-        functional_ok = r.functional_ok;
-        wall_seconds = r.wall_seconds;
-        cache_hits = r.cache_hits;
-        compilations = r.compilations;
-        ncd_cache_hits = r.ncd_cache_hits;
-        ncd_cache_misses = r.ncd_cache_misses;
-        incr_hits = r.incr_hits;
-        incr_misses = r.incr_misses;
-        store_hits = r.store_hits;
-        store_misses = r.store_misses;
-        objective_hits = r.objective_hits;
-        objective_misses = r.objective_misses;
-      }
-    in
+    let s = { job_id = j.id; result = { r with database = [] } } in
     t.completed <- s :: t.completed;
     Telemetry.add_count "serve.job_done";
-    obj (jbool "ok" true :: summary_fields s)
+    Util.Json.Obj (("ok", Util.Json.Bool true) :: summary_fields s)
 
 let drain t =
   let responses = ref [] in
@@ -334,76 +244,33 @@ let drain t =
 (* ------------------------------------------------------------------ *)
 
 let status_response t =
+  let open Util.Json in
   let memo = Session.memo t.session in
-  let sc_hits, sc_misses = Session.sizecache_counts t.session in
-  let store_fields =
-    match Session.store t.session with
-    | None -> [ jbool "store" false ]
-    | Some st ->
-      [
-        Printf.sprintf "\"store\":%s"
-          (obj
-             [
-               jint "hits" (Store.hits st);
-               jint "misses" (Store.misses st);
-               jint "evictions" (Store.evictions st);
-               jint "quarantined" (Store.quarantined st);
-               jint "entries" (Store.length st);
-               jint "bytes" (Store.bytes st);
-               jint "max_bytes" (Store.max_bytes st);
-             ]);
-      ]
-  in
-  obj
-    ([
-       jbool "ok" true;
-       jint "queued" (Queue.length t.queue);
-       Printf.sprintf "\"queue\":%s"
-         (arr
-            (Queue.fold
-               (fun acc j ->
-                 obj [ jint "job" j.id; jstr "benchmark" j.bench.Corpus.bname ]
-                 :: acc)
-               [] t.queue
-            |> List.rev));
-       jint "completed" (List.length t.completed);
-       Printf.sprintf "\"jobs\":%s"
-         (arr (List.rev_map (fun s -> obj (summary_fields s)) t.completed));
-       Printf.sprintf "\"memo\":%s"
-         (obj
+  Obj
+    [
+      ("ok", Bool true);
+      ("queued", Int (Queue.length t.queue));
+      ( "queue",
+        List
+          (List.map
+             (fun j -> Obj [ ("job", Int j.id); ("benchmark", Str j.bench.bname) ])
+             (List.of_seq (Queue.to_seq t.queue))) );
+      ("completed", Int (List.length t.completed));
+      ("jobs", List (List.rev_map (fun s -> Obj (summary_fields s)) t.completed));
+      ("counters", counters_json (Session.counters t.session));
+      ("memo", Obj [ ("entries", Int (Memo.length memo)); ("bytes", Int (Memo.bytes memo)) ]);
+      ( "store",
+        match Session.store t.session with
+        | None -> Bool false
+        | Some st ->
+          Obj
             [
-              jint "hits" (Memo.hits memo);
-              jint "misses" (Memo.misses memo);
-              jint "evictions" (Memo.evictions memo);
-              jint "entries" (Memo.length memo);
-              jint "bytes" (Memo.bytes memo);
-            ]);
-       Printf.sprintf "\"sizecache\":%s"
-         (obj [ jint "hits" sc_hits; jint "misses" sc_misses ]);
-       (* session-wide multi-objective traffic: per-axis memo counters
-          summed over every completed job (scalar-NCD jobs contribute 0) *)
-       Printf.sprintf "\"objective\":%s"
-         (obj
-            [
-              jint "hits"
-                (List.fold_left
-                   (fun acc s -> acc + s.objective_hits)
-                   0 t.completed);
-              jint "misses"
-                (List.fold_left
-                   (fun acc s -> acc + s.objective_misses)
-                   0 t.completed);
-            ]);
-       Printf.sprintf "\"incremental\":%s"
-         (obj
-            [
-              jint "hits" (Incremental.hits (Session.incremental t.session));
-              jint "misses"
-                (Incremental.misses (Session.incremental t.session));
-            ]);
-       jint "live_domains" (Parallel.Pool.live_domains ());
-     ]
-    @ store_fields)
+              ("entries", Int (Store.length st));
+              ("bytes", Int (Store.bytes st));
+              ("max_bytes", Int (Store.max_bytes st));
+            ] );
+      ("live_domains", Int (Parallel.Pool.live_domains ()));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                            *)
@@ -413,56 +280,97 @@ let split_words line =
   String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
 
 let handle_line t line =
-  match split_words line with
-  | [] -> ([], true)
-  | verb :: _ when String.length verb > 0 && verb.[0] = '#' -> ([], true)
-  | "quit" :: _ -> ([ obj [ jbool "ok" true; jstr "bye" "bintuner" ] ], false)
-  | "status" :: _ -> ([ status_response t ], true)
-  | "submit" :: params -> (
-    match parse_job t params with
-    | Error msg -> ([ error_response msg ], true)
-    | Ok j ->
-      Queue.push j t.queue;
-      Telemetry.set_gauge "serve.queue_depth"
-        (float_of_int (Queue.length t.queue));
-      ( [
-          obj
-            [
-              jbool "ok" true;
-              jint "job" j.id;
-              jint "queued" (Queue.length t.queue);
-            ];
-        ],
-        true ))
-  | "run" :: _ -> (drain t, true)
-  | "tune" :: params -> (
-    match parse_job t params with
-    | Error msg -> ([ error_response msg ], true)
-    | Ok j ->
-      Queue.push j t.queue;
-      (drain t, true))
-  | verb :: _ ->
-    ([ error_response ("unknown request " ^ verb) ], true)
+  let open Util.Json in
+  let responses, keep_going =
+    match split_words line with
+    | [] -> ([], true)
+    | verb :: _ when String.length verb > 0 && verb.[0] = '#' -> ([], true)
+    | "quit" :: _ -> ([ Obj [ ("ok", Bool true); ("bye", Str "bintuner") ] ], false)
+    | "status" :: _ -> ([ status_response t ], true)
+    | "submit" :: params -> (
+      match parse_job t params with
+      | Error msg -> ([ error_response msg ], true)
+      | Ok j ->
+        Queue.push j t.queue;
+        Telemetry.set_gauge "serve.queue_depth"
+          (float_of_int (Queue.length t.queue));
+        ( [
+            Obj
+              [
+                ("ok", Bool true);
+                ("job", Int j.id);
+                ("queued", Int (Queue.length t.queue));
+              ];
+          ],
+          true ))
+    | "run" :: _ -> (drain t, true)
+    | "tune" :: params -> (
+      match parse_job t params with
+      | Error msg -> ([ error_response msg ], true)
+      | Ok j ->
+        Queue.push j t.queue;
+        (drain t, true))
+    | verb :: _ -> ([ error_response ("unknown request " ^ verb) ], true)
+  in
+  (List.map to_string responses, keep_going)
 
 (* ------------------------------------------------------------------ *)
 (* Transports                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let serve_channel t ic oc =
-  let continue = ref true in
-  while !continue do
-    match input_line ic with
-    | exception End_of_file -> continue := false
-    | line ->
-      let responses, keep_going = handle_line t line in
+(* The longest request line the transports read; the rest of a longer
+   line is discarded unread, so a client cannot grow the daemon's
+   memory by streaming bytes without a newline. *)
+let max_request_bytes = 64 * 1024
+
+(* One request line: [Some (Ok line)], [Some (Error msg)] once an
+   overlong line has been skipped to its end, or [None] at end of input.
+   Like [input_line], a last line without its newline still counts. *)
+let read_request ic =
+  let b = Buffer.create 256 in
+  let finish overlong =
+    if overlong then
+      Some
+        (Error
+           (Printf.sprintf "request line exceeds %d bytes" max_request_bytes))
+    else Some (Ok (Buffer.contents b))
+  in
+  let rec go overlong =
+    match input_char ic with
+    | exception End_of_file ->
+      if overlong || Buffer.length b > 0 then finish overlong else None
+    | '\n' -> finish overlong
+    | c when Buffer.length b < max_request_bytes ->
+      Buffer.add_char b c;
+      go overlong
+    | _ -> go true
+  in
+  go false
+
+(* The one transport loop: answer requests read from [ic] on [oc],
+   flushing after each, until end of input or [quit]; [true] iff the
+   client sent [quit]. *)
+let serve_lines t ic oc =
+  let rec loop () =
+    match read_request ic with
+    | None -> false
+    | Some request ->
+      let responses, keep_going =
+        match request with
+        | Ok line -> handle_line t line
+        | Error msg -> ([ Util.Json.to_string (error_response msg) ], true)
+      in
       List.iter
         (fun r ->
           output_string oc r;
           output_char oc '\n')
         responses;
       flush oc;
-      if not keep_going then continue := false
-  done
+      if keep_going then loop () else true
+  in
+  loop ()
+
+let serve_channel t ic oc = ignore (serve_lines t ic oc : bool)
 
 let serve_unix t path =
   (try Sys.remove path with Sys_error _ -> ());
@@ -481,21 +389,7 @@ let serve_unix t path =
         let oc = Unix.out_channel_of_descr fd in
         (* one connection at a time: jobs are sequential anyway, and a
            dropped client must not take the daemon down *)
-        (try
-           let rec loop () =
-             match input_line ic with
-             | exception End_of_file -> ()
-             | line ->
-               let responses, keep_going = handle_line t line in
-               List.iter
-                 (fun r ->
-                   output_string oc r;
-                   output_char oc '\n')
-                 responses;
-               flush oc;
-               if keep_going then loop () else continue := false
-           in
-           loop ()
+        (try if serve_lines t ic oc then continue := false
          with Sys_error _ | Unix.Unix_error _ -> ());
         (try flush oc with Sys_error _ -> ());
         try Unix.close fd with Unix.Unix_error _ -> ()

@@ -25,33 +25,10 @@
 
 type t
 
-type job_summary = {
-  job_id : int;
-  benchmark : string;
-  profile : string;
-  arch : string;
-  strategy : string;
-  objectives : string list;  (** axis names, fitness-vector order *)
-  iterations : int;
-  best_ncd : float;
-  best_vector : bool array;
-  best_scores : float array;  (** the best genome's objective vector *)
-  front : (bool array * float array) list;  (** the job's Pareto front *)
-  functional_ok : bool;
-  wall_seconds : float;
-  cache_hits : int;
-  compilations : int;
-  ncd_cache_hits : int;
-  ncd_cache_misses : int;
-  incr_hits : int;
-  incr_misses : int;
-  store_hits : int;
-  store_misses : int;
-  objective_hits : int;
-  objective_misses : int;
-}
-(** One completed job: the {!Tuner.result} essentials plus the per-job
-    cache-counter deltas (see {!Tuner.result} for their meaning). *)
+type job_summary = { job_id : int; result : Tuner.result }
+(** One completed job: its {!Tuner.result}, per-job [counters] deltas
+    included (read them with {!Tuner.counter}), minus the iteration
+    database, which a long-lived daemon does not keep. *)
 
 val create :
   ?jobs:int ->
@@ -74,19 +51,31 @@ val queue_depth : t -> int
 
 val handle_line : t -> string -> string list * bool
 (** Process one request line; returns the response lines (each a
-    complete JSON object) and [false] iff the request was [quit].  Never
-    raises on bad input. *)
+    complete single-line JSON object, rendered by {!Util.Json}) and
+    [false] iff the request was [quit].  Never raises on bad input.
+
+    A job response is [{"ok":true,"job",...,"functional_ok",
+    "wall_seconds","counters":{...}}], [counters] being the job's
+    {!Tuner.result} counters.  A [status] response carries [queued],
+    [queue], [completed], [jobs] (every completed job's summary),
+    [counters] ({!Session.counters}, session totals), [memo]
+    ([entries], [bytes]), [store] ([false], or [entries], [bytes],
+    [max_bytes]) and [live_domains]. *)
 
 val serve_channel : t -> in_channel -> out_channel -> unit
 (** Serve requests from a channel pair until [quit] or EOF, flushing
     after every request — [serve_channel t stdin stdout] is the CI smoke
-    transport. *)
+    transport.  Both transports share one loop, which reads at most
+    64 KiB of a request line: a longer line is answered with an
+    [{"ok":false,...}] error, the rest of it discarded, and serving goes
+    on. *)
 
 val serve_unix : t -> string -> unit
 (** Bind a Unix domain socket at a path (replacing any stale socket
-    file), then serve connections one at a time until some client sends
-    [quit].  A dropped connection returns the daemon to accept; the
-    socket file is removed on the way out. *)
+    file), then serve connections one at a time, over the same loop as
+    {!serve_channel}, until some client sends [quit].  A dropped
+    connection returns the daemon to accept; the socket file is removed
+    on the way out. *)
 
 val close : t -> unit
 (** Shut down the daemon's session (its pool).  Does not interrupt

@@ -75,13 +75,28 @@ let sizecache t level =
   Mutex.unlock t.lock;
   cache
 
-let sizecache_counts t =
+(* Every cache counter the session owns, under the telemetry names, in a
+   fixed order; the size caches are summed over levels and the store's
+   counters read 0 without a store. *)
+let counters t =
   Mutex.lock t.lock;
   let caches = Hashtbl.fold (fun _ c acc -> c :: acc) t.sizecaches [] in
   Mutex.unlock t.lock;
-  List.fold_left
-    (fun (h, m) c ->
-      (h + Compress.Sizecache.hits c, m + Compress.Sizecache.misses c))
-    (0, 0) caches
+  let sizes f = List.fold_left (fun acc c -> acc + f c) 0 caches in
+  let store f = match t.store with Some s -> f s | None -> 0 in
+  [
+    ("memo.hit", Memo.hits t.memo);
+    ("memo.miss", Memo.misses t.memo);
+    ("memo.evict", Memo.evictions t.memo);
+    ("sizecache.hit", sizes Compress.Sizecache.hits);
+    ("sizecache.miss", sizes Compress.Sizecache.misses);
+    ("incr.hit", Incremental.hits t.incremental);
+    ("incr.miss", Incremental.misses t.incremental);
+    ("incr.evict", Incremental.evictions t.incremental);
+    ("store.hit", store Store.hits);
+    ("store.miss", store Store.misses);
+    ("store.evict", store Store.evictions);
+    ("store.quarantine", store Store.quarantined);
+  ]
 
 let close t = if t.owned_pool then Parallel.Pool.shutdown t.pool

@@ -12,9 +12,9 @@
     Sharing is lossless: every constituent cache is keyed on full content
     identity and holds pure-function-of-key values, so a cross-job hit is
     bit-identical to a recompute.  Only the counters (and wall-clock)
-    reveal the session was warm — {!Tuner.result} reports per-job counter
-    {e deltas} so a job's numbers mean the same thing with or without a
-    session. *)
+    reveal the session was warm — {!Tuner.result} reports per-job
+    {!counters} {e deltas} so a job's numbers mean the same thing with or
+    without a session. *)
 
 type t
 
@@ -29,9 +29,11 @@ val create :
     session creates and owns; passing an explicit [pool] instead hands
     the session a caller-owned pool that {!close} will {e not} shut down.
     [memo_max_bytes] bounds the shared compile memo
-    (default {!Memo.default_max_bytes}).  [store] attaches a persistent
-    artifact store: compiled binaries and compressed sizes are then
-    written through to disk and consulted on memo / size-cache misses. *)
+    (default {!Memo.default_max_bytes}); [0] admits nothing, so every
+    compile request runs the pipeline — the memo-off reference.
+    [store] attaches a persistent artifact store: compiled binaries and
+    compressed sizes are then written through to disk and consulted on
+    memo / size-cache misses. *)
 
 val pool : t -> Parallel.Pool.t
 val memo : t -> Memo.t
@@ -43,9 +45,14 @@ val sizecache : t -> Compress.Lz.level -> Compress.Sizecache.t
     use — levels measure different sizes, so each gets its own table and
     its own key namespace in the backing store. *)
 
-val sizecache_counts : t -> int * int
-(** Aggregate (hits, misses) over every level's size cache — the
-    daemon's [status] hit-rate report. *)
+val counters : t -> (string * int) list
+(** Every cache counter the session owns, always the same names in the
+    same order: [memo.hit], [memo.miss], [memo.evict]; [sizecache.hit]
+    and [sizecache.miss], summed over every level's size cache;
+    [incr.hit], [incr.miss], [incr.evict]; [store.hit], [store.miss],
+    [store.evict], [store.quarantine] (all 0 without a store).  The names
+    are the ones telemetry counts under.  The daemon's [status] reports
+    this list; {!Tuner.result} reports its per-call delta. *)
 
 val close : t -> unit
 (** Shut down the session's pool if the session created it (a no-op for

@@ -24,18 +24,16 @@ type result = {
   history : (int * float) list;
   wall_seconds : float;
   functional_ok : bool;
-  cache_hits : int;
-  compilations : int;
-  ncd_cache_hits : int;
-  ncd_cache_misses : int;
-  incr_hits : int;
-  incr_misses : int;
-  store_hits : int;
-  store_misses : int;
-  objective_hits : int;  (** per-axis memo hits (0 on the scalar path) *)
-  objective_misses : int;
+  counters : (string * int) list;
+      (** per-call deltas of {!Session.counters}, then
+          [objective.memo.hit] / [objective.memo.miss] *)
   database : entry list;
 }
+
+let counter r name =
+  match List.assoc_opt name r.counters with
+  | Some n -> n
+  | None -> invalid_arg ("Tuner.counter: unknown counter " ^ name)
 
 let ncd_of_binaries a b =
   Compress.Ncd.distance a.Isa.Binary.text b.Isa.Binary.text
@@ -67,22 +65,12 @@ let functional_check bench bin0 bin =
       && r0.Vm.Machine.return_value = r.Vm.Machine.return_value)
     bench.Corpus.workloads
 
-let tune ?(arch = Isa.Insn.X86_64) ?(params = Search.Genetic.default_params)
-    ?(termination = Search.default_termination) ?(seed = 1) ?strategy ?pool
-    ?session ?(memoize = true) ?(incremental = true) ?lz_level
-    ?(objectives = Search.Objective.default)
+let tune ?(arch = Isa.Insn.X86_64) ?(termination = Search.default_termination)
+    ?(seed = 1) ?(strategy = Search.Genetic.strategy ()) ?pool ?session
+    ?(incremental = true) ?lz_level ?(objectives = Search.Objective.default)
     ~(profile : Toolchain.Flags.profile) (bench : Corpus.benchmark) =
   let t0 = Unix.gettimeofday () in
   if objectives = [] then invalid_arg "Tuner.tune: empty objective spec";
-  (* the paper's original problem — one NCD axis at unit weight — takes
-     the historical batched fast path below and is bit-identical to the
-     pre-vector tuner *)
-  let scalar_ncd = Search.Objective.is_scalar_ncd objectives in
-  let strategy =
-    match strategy with
-    | Some s -> s
-    | None -> Search.Genetic.strategy ~params ()
-  in
   (* a one-shot call is a throwaway session: its caches (and its pool,
      unless the caller passed one) live exactly as long as the call *)
   let throwaway = Option.is_none session in
@@ -93,6 +81,10 @@ let tune ?(arch = Isa.Insn.X86_64) ?(params = Search.Genetic.default_params)
     Fun.protect ~finally:(fun () -> if throwaway then Session.close session)
     @@ fun () ->
   let pool = Option.value pool ~default:(Session.pool session) in
+  (* shared caches carry traffic from earlier jobs; snapshot the counters
+     before this call's first compile (the O0 baseline) so the result
+     reports exactly this call's deltas *)
+  let counters0 = Session.counters session in
   let rng = Util.Rng.create (seed + Hashtbl.hash (bench.Corpus.bname, profile.profile_name)) in
   let ast = Corpus.program bench in
   (* the pass-prefix snapshot store: every compile of this run — across
@@ -101,41 +93,32 @@ let tune ?(arch = Isa.Insn.X86_64) ?(params = Search.Genetic.default_params)
      recompiling from source.  Lossless, hence safe to default on; a
      long-lived session shares it, so later jobs resume from prefixes
      earlier jobs produced. *)
-  let prefix =
-    if incremental then Some (Session.incremental session) else None
+  let snapshot =
+    if incremental then
+      Some (Incremental.snapshot_store (Session.incremental session))
+    else None
   in
-  let snapshot = Option.map Incremental.snapshot_store prefix in
   let baseline = Toolchain.Pipeline.compile_preset profile ~arch ?snapshot "O0" ast in
   let baseline_stream = code_stream baseline in
   (* every C(x) / C(x·baseline) term of this run goes through one
      content-addressed cache (one per compression level): the baseline's
-     solo size is compressed once, and candidates the GA revisits hit
-     instead of re-compressing.  With a persistent store attached to the
-     session it is durable too. *)
+     solo size is compressed once, here, so the workers' shared term is a
+     guaranteed hit instead of a race of misses, and candidates the
+     search revisits hit instead of re-compressing.  With a persistent
+     store attached to the session it is durable too. *)
   let lz_level =
     match lz_level with Some l -> l | None -> Compress.Lz.default_level ()
   in
   let ncd_cache = Session.sizecache session lz_level in
+  ignore (Compress.Sizecache.size ncd_cache baseline_stream : int);
+  let ncd bin =
+    let stream = code_stream bin in
+    Telemetry.with_span "tuner.ncd" (fun () ->
+        Compress.Ncd.distance_via ncd_cache stream baseline_stream)
+  in
   let database = ref [] in
-  let memo =
-    if memoize then Session.memo session else Memo.create ~enabled:false ()
-  in
+  let memo = Session.memo session in
   let store = Session.store session in
-  (* shared caches carry traffic from earlier jobs; snapshot the counters
-     so this result reports per-job deltas (for a fresh cache the deltas
-     equal the raw counters, keeping one-shot results byte-identical) *)
-  let memo_hits0 = Memo.hits memo in
-  let memo_misses0 = Memo.misses memo in
-  let ncd_hits0 = Compress.Sizecache.hits ncd_cache in
-  let ncd_misses0 = Compress.Sizecache.misses ncd_cache in
-  let incr_hits0 =
-    match prefix with Some p -> Incremental.hits p | None -> 0
-  in
-  let incr_misses0 =
-    match prefix with Some p -> Incremental.misses p | None -> 0
-  in
-  let store_hits0 = match store with Some s -> Store.hits s | None -> 0 in
-  let store_misses0 = match store with Some s -> Store.misses s | None -> 0 in
   let program = Digest.to_hex (Digest.string bench.Corpus.source) in
   let compile vector =
     let key = Memo.key ~program ~profile:profile.profile_name ~arch vector in
@@ -159,16 +142,15 @@ let tune ?(arch = Isa.Insn.X86_64) ?(params = Search.Genetic.default_params)
             bin))
   in
   (* The multi-objective evaluator: per-axis memoized evaluation over
-     the compiled binary.  The [ncd] axis reuses this run's size cache
-     and baseline; the [evasion] axis trains the provenance adversary on
-     this profile's presets once, then scores each candidate by its
-     distance to the nearest preset centroid (further = more evasive). *)
+     the compiled binary.  The [ncd] axis is the same [ncd] the default
+     spec scores with; the [evasion] axis trains the provenance adversary
+     on this profile's presets once, then scores each candidate by its
+     distance to the nearest preset centroid (further = more evasive).
+     The paper's original problem — one NCD axis at unit weight — needs
+     no evaluator and scores [ncd] alone. *)
   let evaluator =
-    if scalar_ncd then None
+    if Search.Objective.is_scalar_ncd objectives then None
     else begin
-      let ncd_hook bin =
-        Compress.Ncd.distance_via ncd_cache (code_stream bin) baseline_stream
-      in
       let evasion_hook =
         if
           not
@@ -193,38 +175,22 @@ let tune ?(arch = Isa.Insn.X86_64) ?(params = Search.Genetic.default_params)
           Some (fun bin -> snd (Provenance.Classify.classify model bin))
         end
       in
-      Some (Search.Objective.evaluator ~ncd:ncd_hook ?evasion:evasion_hook objectives)
+      Some (Search.Objective.evaluator ~ncd ?evasion:evasion_hook objectives)
     end
+  in
+  let evaluate =
+    match evaluator with
+    | None -> fun bin -> [| ncd bin |]
+    | Some ev -> Search.Objective.evaluate ev
   in
   (* One generation's worth of candidates at a time: compile + evaluation
      run in parallel across the pool (each candidate's objective vector
-     is a pure function of its flag vector), then the iteration database
-     is appended sequentially in input order — the scheduling of the
-     batch can never leak into the result. *)
+     is a pure function of its flag vector; the per-axis memos are
+     mutex-guarded), then the iteration database is appended sequentially
+     in input order — the scheduling of the batch can never leak into the
+     result. *)
   let batch_fitness vectors =
-    let vecs =
-      match evaluator with
-      | None ->
-        (* scalar-NCD fast path: batched pair compression *)
-        let streams =
-          Parallel.Pool.map pool
-            (fun v ->
-              let bin = compile v in
-              code_stream bin)
-            vectors
-        in
-        let ncds =
-          Compress.Ncd.against ~pool ~span:"tuner.ncd" ~cache:ncd_cache
-            ~baseline:baseline_stream streams
-        in
-        Array.map (fun n -> [| n |]) ncds
-      | Some ev ->
-        (* multi-objective: whole axis vectors per candidate, fanned
-           across the pool (the per-axis memos are mutex-guarded) *)
-        Parallel.Pool.map pool
-          (fun v -> Search.Objective.evaluate ev (compile v))
-          vectors
-    in
+    let vecs = Parallel.Pool.map pool (fun v -> evaluate (compile v)) vectors in
     Array.iteri
       (fun i v ->
         database := { vector = Array.copy v; fitness = vecs.(i) } :: !database)
@@ -326,8 +292,20 @@ let tune ?(arch = Isa.Insn.X86_64) ?(params = Search.Genetic.default_params)
     Parallel.Pool.map_list ~chunk_size:1 pool
       (fun name ->
         let bin = Toolchain.Pipeline.compile_preset profile ~arch ?snapshot name ast in
-        (name, Compress.Ncd.distance_via ncd_cache (code_stream bin) baseline_stream))
+        (name, ncd bin))
       [ "O0"; "O1"; "O2"; "O3"; "Os" ]
+  in
+  let objective_counts =
+    let hits, misses =
+      match evaluator with
+      | None -> (0, 0)
+      | Some ev ->
+        List.fold_left
+          (fun (h, m) (_, h', m') -> (h + h', m + m'))
+          (0, 0)
+          (Search.Objective.memo_counts ev)
+    in
+    [ ("objective.memo.hit", hits); ("objective.memo.miss", misses) ]
   in
   ( {
     benchmark = bench.bname;
@@ -347,36 +325,11 @@ let tune ?(arch = Isa.Insn.X86_64) ?(params = Search.Genetic.default_params)
     history = outcome.history;
     wall_seconds = 0.0;
     functional_ok = false;
-    cache_hits = Memo.hits memo - memo_hits0;
-    compilations = Memo.misses memo - memo_misses0;
-    ncd_cache_hits = Compress.Sizecache.hits ncd_cache - ncd_hits0;
-    ncd_cache_misses = Compress.Sizecache.misses ncd_cache - ncd_misses0;
-    incr_hits =
-      (match prefix with Some p -> Incremental.hits p - incr_hits0 | None -> 0);
-    incr_misses =
-      (match prefix with
-      | Some p -> Incremental.misses p - incr_misses0
-      | None -> 0);
-    store_hits =
-      (match store with Some s -> Store.hits s - store_hits0 | None -> 0);
-    store_misses =
-      (match store with Some s -> Store.misses s - store_misses0 | None -> 0);
-    objective_hits =
-      (match evaluator with
-      | None -> 0
-      | Some ev ->
-        List.fold_left
-          (fun acc (_, h, _) -> acc + h)
-          0
-          (Search.Objective.memo_counts ev));
-    objective_misses =
-      (match evaluator with
-      | None -> 0
-      | Some ev ->
-        List.fold_left
-          (fun acc (_, _, m) -> acc + m)
-          0
-          (Search.Objective.memo_counts ev));
+    counters =
+      List.map2
+        (fun (name, n) (_, n0) -> (name, n - n0))
+        (Session.counters session) counters0
+      @ objective_counts;
     database = List.rev !database;
   },
     baseline )

@@ -48,39 +48,26 @@ type result = {
   history : (int * float) list;  (** best-so-far NCD per iteration *)
   wall_seconds : float;  (** wall-clock (not CPU) duration of the run *)
   functional_ok : bool;  (** tuned binary passes all test workloads *)
-  cache_hits : int;
-      (** compile requests served by the {!Memo} layer instead of
-          recompiling (final selection re-scoring, duplicate vectors) *)
-  compilations : int;
-      (** compile requests that actually ran the flag-driven pipeline;
-          [cache_hits + compilations] is the total number of compile
-          requests the run made, a quantity independent of memoization *)
-  ncd_cache_hits : int;
-      (** compressed-size lookups served by the run's {!Compress.Sizecache}
-          (the baseline's terms and revisited candidate streams).  Under
-          racing misses the hit/miss split can depend on scheduling —
-          these two counters are observational and deliberately excluded
-          from the determinism sentinel and the j-differential. *)
-  ncd_cache_misses : int;  (** size lookups that actually compressed *)
-  incr_hits : int;
-      (** pass-prefix snapshot lookups served by the run's
-          {!Incremental} store (0 with [~incremental:false]).  Like the
-          size-cache counters, the hit/miss split under racing workers
-          is observational only — results never depend on it. *)
-  incr_misses : int;  (** prefix lookups that found no snapshot *)
-  store_hits : int;
-      (** persistent-{!Store} lookups served from disk during this call
-          (always 0 without a store-backed session).  Nonzero on a warm
-          daemon's second job — the serve smoke gate checks exactly
-          this. *)
-  store_misses : int;  (** store lookups that found nothing servable *)
-  objective_hits : int;
-      (** multi-objective per-axis memo hits summed over the run's
-          {!Search.Objective} evaluator (0 on the scalar-NCD path, which
-          caches in the size cache instead) *)
-  objective_misses : int;  (** per-axis memo misses — fresh evaluations *)
+  counters : (string * int) list;
+      (** this call's cache traffic: the {!Session.counters} names, in
+          their order, as deltas over the call (from before its O0
+          baseline compile through final selection and the preset
+          NCDs), followed by
+          [objective.memo.hit] / [objective.memo.miss] summed over the
+          call's {!Search.Objective} evaluator (0 on the default spec,
+          which caches in the size cache instead).  [memo.hit +
+          memo.miss] is the number of compile requests the run made, a
+          quantity independent of memoization.  The size-cache and
+          incremental hit/miss split can depend on scheduling under
+          racing workers, so those counters are observational and left
+          out of the determinism sentinel and the j-differential. *)
   database : entry list;  (** every (vector, fitness vector) evaluated *)
 }
+
+val counter : result -> string -> int
+(** [counter r name] — the value of one of [r.counters], e.g.
+    [counter r "memo.hit"].  Raises [Invalid_argument] on a name not in
+    the list. *)
 
 val ncd_of_binaries : Isa.Binary.t -> Isa.Binary.t -> float
 (** NCD between two binaries' raw code sections (the paper's formula,
@@ -101,13 +88,11 @@ val fitness_of_binaries : Isa.Binary.t -> Isa.Binary.t -> float
 
 val tune :
   ?arch:Isa.Insn.arch ->
-  ?params:Search.Genetic.params ->
   ?termination:Search.termination ->
   ?seed:int ->
   ?strategy:Search.strategy ->
   ?pool:Parallel.Pool.t ->
   ?session:Session.t ->
-  ?memoize:bool ->
   ?incremental:bool ->
   ?lz_level:Compress.Lz.level ->
   ?objectives:Search.Objective.spec ->
@@ -118,23 +103,23 @@ val tune :
     fixed [seed] (default 1): the result is bit-identical whatever [pool]
     is passed (each generation is fitness-scored as one ordered
     [Pool.map] batch; all random draws stay in the sequential part of the
-    loop) and whether or not [memoize] is on (compilation is pure, the
-    memo only skips repeats — its traffic is reported in [cache_hits] /
-    [compilations]).  Both properties are enforced by the differential
-    test suite.  Default: no parallelism, memoization on.
+    loop) and whatever the session's memo budget (compilation is pure,
+    the memo only skips repeats — its traffic is reported in the
+    [memo.hit] / [memo.miss] counters).  Both properties are enforced by
+    the differential test suite.
 
     [strategy] selects the search backend (default: the GA with
-    [params]; [params] is ignored when an explicit strategy is given —
-    build it with {!Search.Genetic.strategy} to parameterize the GA).
-    When [pool] is omitted the session's pool is used — for a one-shot
-    call, a size-1 pool shut down on every exit, normal or exceptional.
+    {!Search.Genetic.default_params}; build one with
+    {!Search.Genetic.strategy} to parameterize the GA).  When [pool] is
+    omitted the session's pool is used — for a one-shot call, a size-1
+    pool shut down on every exit, normal or exceptional.
 
     [incremental] (default on) shares one {!Incremental} pass-prefix
     snapshot store across every compile of the run, so candidates
     resume compilation from the longest pipeline prefix an earlier
     candidate already produced.  Lossless: results are bit-identical
-    with it on or off (the differential oracle pins this); only
-    [incr_hits]/[incr_misses] and wall-clock change.
+    with it on or off (the differential oracle pins this); only the
+    [incr.*] counters and wall-clock change.
 
     [session] plugs the call into a long-lived {!Session}: the session's
     pool, compile memo, per-level size cache, incremental store and
@@ -144,10 +129,10 @@ val tune :
     [pool] and closed on return — one-shot tuning and serving are one
     code path.  Lossless like every cache here — a warm-session result is
     bit-identical to a cold one-shot result (the serve differential test
-    pins this); cache counters in the result are per-call {e deltas}, so
-    they mean the same thing either way.  An explicit [pool] still takes
-    precedence over the session's; [memoize:false] opts the call out of
-    the shared memo.
+    pins this); [counters] are per-call {e deltas}, so they mean the same
+    thing either way.  An explicit [pool] still takes precedence over the
+    session's; a session created with [~memo_max_bytes:0] runs every
+    compile request through the pipeline.
 
     [lz_level] fixes the compression level of the fitness's size cache
     (default {!Compress.Lz.default_level}) — serving mode routes the
@@ -156,13 +141,15 @@ val tune :
 
     [objectives] selects the fitness axes and their scalarization
     weights ({!Search.Objective.parse} grammar: ["ncd,gadgets:0.5"]).
-    The default — NCD alone at unit weight — runs the historical
-    scalar path bit-identically.  Any other spec compiles each
-    candidate, evaluates every axis on the binary through per-axis
-    memos (one shared binsight inspection for [gadgets]/[size]; the
-    provenance adversary is trained on this profile's presets for
-    [evasion]), hands the engine the weighted-sum scalarization, and
-    returns the non-dominated [front] alongside the scalar best. *)
+    Every candidate goes through one path: compile, then evaluate.  The
+    default — NCD alone at unit weight — evaluates the NCD against the
+    O0 baseline and nothing else, bit-identically to the historical
+    scalar tuner.  Any other spec evaluates every axis on the binary
+    through per-axis memos (the same NCD for [ncd]; one shared binsight
+    inspection for [gadgets]/[size]; the provenance adversary is trained
+    on this profile's presets for [evasion]), hands the engine the
+    weighted-sum scalarization, and returns the non-dominated [front]
+    alongside the scalar best. *)
 
 val flags_enabled : Toolchain.Flags.profile -> bool array -> string list
 (** Names of the flags a vector enables. *)

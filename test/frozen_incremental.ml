@@ -178,10 +178,11 @@ let test_tune_incremental_differential () =
         (label ^ ": refined binaries bit-identical") true
         (off.refined_binary = on.refined_binary);
       Alcotest.(check bool) (label ^ ": incremental saw hits") true
-        (on.incr_hits > 0);
+        (Bintuner.Tuner.counter on "incr.hit" > 0);
       Alcotest.(check (pair int int))
         (label ^ ": no snapshot traffic when disabled") (0, 0)
-        (off.incr_hits, off.incr_misses))
+        ( Bintuner.Tuner.counter off "incr.hit",
+          Bintuner.Tuner.counter off "incr.miss" ))
     [ ("462.libquantum", Toolchain.Flags.llvm); ("429.mcf", Toolchain.Flags.gcc) ]
 
 let tests =

@@ -7,8 +7,9 @@
    that down from several directions:
 
    - a full [Tuner.tune] run with the memo on must equal the same run
-     with the memo off, while the counters satisfy the conservation
-     invariant [hits_on + compilations_on = compilations_off];
+     on a session whose memo admits nothing, while the counters satisfy
+     the conservation invariant [memo.hit_on + memo.miss_on =
+     memo.miss_off];
    - [Memo.find_or_compile] must return structurally identical binaries
      to a fresh pipeline compile, for random repaired vectors;
    - every (vector, ncd) pair a tuned run persists through [Database]
@@ -25,9 +26,13 @@ let test_memo_on_off_equal () =
       let bench = Corpus.find name in
       let on = Bintuner.Tuner.tune ~termination:term_small ~profile bench in
       let off =
-        Bintuner.Tuner.tune ~termination:term_small ~memoize:false ~profile
-          bench
+        let session = Bintuner.Session.create ~memo_max_bytes:0 () in
+        Fun.protect
+          ~finally:(fun () -> Bintuner.Session.close session)
+          (fun () ->
+            Bintuner.Tuner.tune ~termination:term_small ~session ~profile bench)
       in
+      let counter = Bintuner.Tuner.counter in
       let label = name ^ "/" ^ profile.Toolchain.Flags.profile_name in
       Alcotest.(check (list bool))
         (label ^ ": best_vector") (Array.to_list on.best_vector)
@@ -42,15 +47,17 @@ let test_memo_on_off_equal () =
         (Array.to_list on.refined_vector)
         (Array.to_list off.refined_vector);
       (* the memo actually worked... *)
-      Alcotest.(check bool) (label ^ ": memo saw hits") true (on.cache_hits >= 1);
-      Alcotest.(check int) (label ^ ": no hits when disabled") 0 off.cache_hits;
+      Alcotest.(check bool) (label ^ ": memo saw hits") true
+        (counter on "memo.hit" >= 1);
+      Alcotest.(check int) (label ^ ": no hits when disabled") 0
+        (counter off "memo.hit");
       (* ...and the traffic is conserved: every request the disabled run
          compiled was either compiled or served from cache by the enabled
          run *)
       Alcotest.(check int)
         (label ^ ": hits + compilations invariant")
-        off.compilations
-        (on.cache_hits + on.compilations))
+        (counter off "memo.miss")
+        (counter on "memo.hit" + counter on "memo.miss"))
     [ ("462.libquantum", Toolchain.Flags.llvm); ("429.mcf", Toolchain.Flags.gcc) ]
 
 (* [Memo.find_or_compile] vs a fresh pipeline compile, on random repaired
@@ -246,8 +253,10 @@ let test_tuner_reports_sizecache_traffic () =
     Bintuner.Tuner.tune ~termination:term_small ~profile:Toolchain.Flags.gcc
       (Corpus.find "429.mcf")
   in
-  Alcotest.(check bool) "ncd cache saw hits" true (r.ncd_cache_hits > 0);
-  Alcotest.(check bool) "ncd cache saw misses" true (r.ncd_cache_misses > 0)
+  Alcotest.(check bool) "ncd cache saw hits" true
+    (Bintuner.Tuner.counter r "sizecache.hit" > 0);
+  Alcotest.(check bool) "ncd cache saw misses" true
+    (Bintuner.Tuner.counter r "sizecache.miss" > 0)
 
 (* --- the pass-prefix snapshot store --- *)
 
@@ -324,8 +333,10 @@ let test_tune_incremental_j_independent () =
         (label ^ ": refined binaries bit-identical") true
         (r1.refined_binary = r2.refined_binary);
       (* both runs really exercised the store *)
-      Alcotest.(check bool) (label ^ ": j1 store hit") true (r1.incr_hits > 0);
-      Alcotest.(check bool) (label ^ ": j2 store hit") true (r2.incr_hits > 0))
+      Alcotest.(check bool) (label ^ ": j1 store hit") true
+        (Bintuner.Tuner.counter r1 "incr.hit" > 0);
+      Alcotest.(check bool) (label ^ ": j2 store hit") true
+        (Bintuner.Tuner.counter r2 "incr.hit" > 0))
     [ ("462.libquantum", Toolchain.Flags.llvm) ]
 
 let tests =

@@ -204,8 +204,9 @@ let check_tune_equal label (a : Bintuner.Tuner.result)
     (label ^ ": database") true
     (entry_list a = entry_list b);
   Alcotest.(check (pair int int))
-    (label ^ ": memo counters") (a.cache_hits, a.compilations)
-    (b.cache_hits, b.compilations)
+    (label ^ ": memo counters")
+    (Bintuner.Tuner.counter a "memo.hit", Bintuner.Tuner.counter a "memo.miss")
+    (Bintuner.Tuner.counter b "memo.hit", Bintuner.Tuner.counter b "memo.miss")
 
 let diff_cases =
   [

@@ -2,7 +2,8 @@
    sharing through the shared session, the warm-store-vs-cold-one-shot
    differential (caching must be lossless), and crash recovery from a
    torn store entry.  Everything drives [Server.handle_line] in-process —
-   the socket/stdin transports are thin loops over it. *)
+   the socket/stdin transports share one thin loop over it, exercised
+   through [Server.serve_channel] by the overlong-line case. *)
 
 let rec rm_rf path =
   if Sys.is_directory path then begin
@@ -29,6 +30,9 @@ let job_line =
     "tune bench=462.libquantum profile=gcc arch=x86-64 strategy=ga budget=%d \
      seed=1"
     budget
+
+let counter (j : Bintuner.Server.job_summary) name =
+  Bintuner.Tuner.counter j.result name
 
 (* one request, expecting exactly one response *)
 let request srv line =
@@ -103,20 +107,21 @@ let test_serve_objective_parameter () =
         (contains r "\"front_size\":" && contains r "\"best_scores\":");
       (match Bintuner.Server.completed srv with
       | [ j ] ->
+        let r = j.Bintuner.Server.result in
         Alcotest.(check (list string))
-          "job summary axes" [ "ncd"; "gadgets" ]
-          j.Bintuner.Server.objectives;
-        Alcotest.(check int) "score arity" 2 (Array.length j.best_scores);
+          "job summary axes" [ "ncd"; "gadgets" ] r.objectives;
+        Alcotest.(check int) "score arity" 2 (Array.length r.best_scores);
         Alcotest.(check bool) "front non-empty and non-dominated" true
-          (j.front <> [] && Search.Pareto.is_non_dominated j.front);
+          (r.front <> [] && Search.Pareto.is_non_dominated r.front);
         Alcotest.(check bool) "objective memos saw traffic" true
-          (j.objective_hits + j.objective_misses > 0)
+          (counter j "objective.memo.hit" + counter j "objective.memo.miss" > 0)
       | l ->
         Alcotest.fail
           (Printf.sprintf "expected 1 completed job, got %d" (List.length l)));
       let status, _ = request srv "status" in
-      Alcotest.(check bool) "status sums objective counters" true
-        (contains status "\"objective\":"))
+      Alcotest.(check bool) "status jobs carry objective counters" true
+        (contains status "\"objective.memo.hit\":"
+        && contains status "\"objective.memo.miss\":"))
 
 (* Two sequential jobs on one daemon: the second must be served largely
    from the first's shared caches — memo hits with a default session,
@@ -134,15 +139,15 @@ let test_serve_cross_job_sharing () =
           match Bintuner.Server.completed srv with
           | [ j1; j2 ] ->
             Alcotest.(check bool) "job 1 ran cold" true
-              (j1.Bintuner.Server.compilations > 0);
+              (counter j1 "memo.miss" > 0);
             (* the shared memo serves job 2 the binaries job 1 compiled *)
             Alcotest.(check bool) "job 2 hits the shared memo" true
-              (j2.Bintuner.Server.cache_hits > 0);
+              (counter j2 "memo.hit" > 0);
             Alcotest.(check bool) "job 2 compiles less than job 1" true
-              (j2.compilations < j1.compilations);
+              (counter j2 "memo.miss" < counter j1 "memo.miss");
             Alcotest.(check string) "same best vector"
-              (Bintuner.Database.vector_to_string j1.best_vector)
-              (Bintuner.Database.vector_to_string j2.best_vector)
+              (Bintuner.Database.vector_to_string j1.result.best_vector)
+              (Bintuner.Database.vector_to_string j2.result.best_vector)
           | l ->
             Alcotest.fail
               (Printf.sprintf "expected 2 completed jobs, got %d"
@@ -172,17 +177,18 @@ let test_serve_warm_store_matches_cold_tune () =
           match Bintuner.Server.completed srv with
           | [ j1; j2 ] ->
             Alcotest.(check bool) "job 1 populated the store" true
-              (j1.Bintuner.Server.store_misses > 0);
+              (counter j1 "store.miss" > 0);
             Alcotest.(check bool) "job 2 reports persistent-store hits" true
-              (j2.Bintuner.Server.store_hits > 0);
+              (counter j2 "store.hit" > 0);
+            let warm = j2.result in
             Alcotest.(check string) "job 2 best vector = cold one-shot tune"
               (Bintuner.Database.vector_to_string cold.Bintuner.Tuner.best_vector)
-              (Bintuner.Database.vector_to_string j2.best_vector);
+              (Bintuner.Database.vector_to_string warm.best_vector);
             Alcotest.(check bool) "job 2 best ncd bit-identical to cold" true
-              (Int64.bits_of_float j2.best_ncd
+              (Int64.bits_of_float warm.best_ncd
               = Int64.bits_of_float cold.Bintuner.Tuner.best_ncd);
             Alcotest.(check int) "same iteration count" cold.iterations
-              j2.iterations
+              warm.iterations
           | l ->
             Alcotest.fail
               (Printf.sprintf "expected 2 completed jobs, got %d"
@@ -200,7 +206,7 @@ let test_serve_recovers_from_torn_store () =
           (fun () ->
             ignore (request srv job_line);
             match Bintuner.Server.completed srv with
-            | [ j ] -> j.Bintuner.Server.best_vector
+            | [ j ] -> j.Bintuner.Server.result.best_vector
             | _ -> Alcotest.fail "expected 1 completed job")
       in
       (* tear the first shard entry we can find *)
@@ -235,13 +241,76 @@ let test_serve_recovers_from_torn_store () =
           | [ j ] ->
             Alcotest.(check string) "answer unchanged after recovery"
               (Bintuner.Database.vector_to_string best1)
-              (Bintuner.Database.vector_to_string j.Bintuner.Server.best_vector)
+              (Bintuner.Database.vector_to_string
+                 j.Bintuner.Server.result.best_vector)
           | _ -> Alcotest.fail "expected 1 completed job");
           (* status reports the quarantine *)
           let status, _ = request srv "status" in
-          Alcotest.(check bool) "status shows quarantined > 0" true
-            (contains status "\"quarantined\":"
-            && not (contains status "\"quarantined\":0,"))))
+          Alcotest.(check bool) "status shows store.quarantine > 0" true
+            (contains status "\"store.quarantine\":"
+            && not (contains status "\"store.quarantine\":0"))))
+
+(* Regression: a job's counter deltas start before its O0 baseline
+   compile, so on one daemon the session totals [status] reports are
+   exactly the sum of the jobs' counters, name by name — the prefix
+   store's misses included. *)
+let test_serve_status_counters_sum_jobs () =
+  with_temp_dir (fun dir ->
+      let srv = Bintuner.Server.create ~store_dir:dir () in
+      Fun.protect
+        ~finally:(fun () -> Bintuner.Server.close srv)
+        (fun () ->
+          ignore (request srv job_line);
+          ignore
+            (request srv "tune bench=429.mcf profile=llvm strategy=hill budget=20");
+          let jobs = Bintuner.Server.completed srv in
+          Alcotest.(check int) "two jobs completed" 2 (List.length jobs);
+          let expected =
+            List.map
+              (fun (name, _) ->
+                Printf.sprintf "\"%s\":%d" name
+                  (List.fold_left (fun acc j -> acc + counter j name) 0 jobs))
+              (Bintuner.Session.counters (Bintuner.Server.session srv))
+          in
+          let status, _ = request srv "status" in
+          Alcotest.(check bool) "incremental store saw misses" true
+            (List.exists (fun j -> counter j "incr.miss" > 0) jobs);
+          Alcotest.(check bool)
+            ("status counters are the jobs' sums: "
+            ^ String.concat "," expected)
+            true
+            (contains status
+               ("\"counters\":{" ^ String.concat "," expected ^ "}"))))
+
+(* An overlong request line is refused and skipped; the next request is
+   served normally. *)
+let test_serve_overlong_line () =
+  with_temp_dir (fun dir ->
+      let input = Filename.concat dir "requests"
+      and output = Filename.concat dir "responses" in
+      Out_channel.with_open_bin input (fun oc ->
+          output_string oc (String.make (1024 * 1024) 'x');
+          output_string oc "\nstatus\nquit\n");
+      let srv = Bintuner.Server.create () in
+      Fun.protect
+        ~finally:(fun () -> Bintuner.Server.close srv)
+        (fun () ->
+          In_channel.with_open_bin input (fun ic ->
+              Out_channel.with_open_bin output (fun oc ->
+                  Bintuner.Server.serve_channel srv ic oc)));
+      match In_channel.with_open_bin output In_channel.input_all
+            |> String.split_on_char '\n'
+      with
+      | [ refused; status; bye; "" ] ->
+        Alcotest.(check bool) "overlong line refused" true
+          (contains refused "\"ok\":false" && contains refused "65536");
+        Alcotest.(check bool) "status served after it" true
+          (contains status "\"ok\":true" && contains status "\"queued\":0");
+        Alcotest.(check bool) "quit answered" true (contains bye "\"bye\"")
+      | lines ->
+        Alcotest.fail
+          (Printf.sprintf "expected 3 responses, got %d lines"
+             (List.length lines)))
 
 (* The session pool is shut down with the daemon: no leaked domains. *)
 let test_serve_no_leaked_domains () =
@@ -263,6 +332,9 @@ let tests =
       test_serve_warm_store_matches_cold_tune;
     Alcotest.test_case "serve torn store recovery" `Slow
       test_serve_recovers_from_torn_store;
+    Alcotest.test_case "serve status counters sum jobs" `Slow
+      test_serve_status_counters_sum_jobs;
+    Alcotest.test_case "serve overlong line" `Quick test_serve_overlong_line;
     Alcotest.test_case "serve no leaked domains" `Quick
       test_serve_no_leaked_domains;
   ]

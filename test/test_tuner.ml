@@ -134,6 +134,25 @@ let test_tuner_vector_valid () =
   Alcotest.(check bool) "best vector satisfies constraints" true
     (Toolchain.Constraints.valid Toolchain.Flags.llvm r.best_vector)
 
+(* One counter list: the session's names in their fixed order, then the
+   evaluator's; an unknown name is a programming error, not a 0. *)
+let test_tuner_counters () =
+  let r = Lazy.force tuned in
+  Alcotest.(check (list string))
+    "counter names"
+    [
+      "memo.hit"; "memo.miss"; "memo.evict"; "sizecache.hit"; "sizecache.miss";
+      "incr.hit"; "incr.miss"; "incr.evict"; "store.hit"; "store.miss";
+      "store.evict"; "store.quarantine"; "objective.memo.hit";
+      "objective.memo.miss";
+    ]
+    (List.map fst r.counters);
+  Alcotest.(check bool) "the run compiled" true
+    (Bintuner.Tuner.counter r "memo.miss" > 0);
+  Alcotest.check_raises "unknown counter name"
+    (Invalid_argument "Tuner.counter: unknown counter memo.hits") (fun () ->
+      ignore (Bintuner.Tuner.counter r "memo.hits" : int))
+
 let test_fitness_properties () =
   let prog = Corpus.program (Corpus.find "429.mcf") in
   let gcc = Toolchain.Flags.gcc in
@@ -476,7 +495,9 @@ let test_tuner_multi_objective () =
   Alcotest.(check bool) "gadget axis is a negated census (<= 0)" true
     (r.best_scores.(1) <= 0.0);
   Alcotest.(check bool) "per-axis memos saw traffic" true
-    (r.objective_hits + r.objective_misses > 0);
+    (Bintuner.Tuner.counter r "objective.memo.hit"
+     + Bintuner.Tuner.counter r "objective.memo.miss"
+    > 0);
   Alcotest.(check bool) "tuned binary still functional" true r.functional_ok
 
 let test_tuner_multi_objective_deterministic () =
@@ -592,6 +613,7 @@ let tests =
     Alcotest.test_case "tuner functional" `Slow test_tuner_functional;
     Alcotest.test_case "tuner database" `Slow test_tuner_database;
     Alcotest.test_case "tuner vector valid" `Slow test_tuner_vector_valid;
+    Alcotest.test_case "tuner counters" `Slow test_tuner_counters;
     Alcotest.test_case "fitness properties" `Quick test_fitness_properties;
     Alcotest.test_case "database roundtrip" `Slow test_database_roundtrip;
     Alcotest.test_case "database frequency" `Slow test_database_flag_frequency;

@@ -48,7 +48,7 @@
 #  11. serve smoke gate — tools/serve_smoke.sh boots the `serve` daemon
 #      in stdin mode against a scratch persistent store, submits two
 #      identical jobs plus a `status` request, and asserts job 2 is
-#      served from the store (store_hits > 0, with the in-memory memo
+#      served from the store (counters["store.hit"] > 0, with the memo
 #      disabled so a hit cannot hide there), both jobs agree
 #      bit-for-bit, the status report is coherent, and no worker
 #      domains leak; afterwards the frozen greedy table1 sentinel is

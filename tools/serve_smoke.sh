@@ -5,18 +5,21 @@
 #
 #   - both jobs succeed and agree bit-for-bit on best_vector / best_ncd
 #     / iterations (the artifact store is lossless);
-#   - job 2 is served from the persistent store (store_hits > 0).  The
-#     shared in-memory memo is disabled for the gate (--memo-max-mb 0
-#     clamps it to one byte, which admits nothing) so a hit cannot hide
-#     in memory — it must come off disk;
+#   - job 1 compiled and filled the store (counters["memo.miss"] > 0,
+#     counters["store.miss"] > 0), and job 2 is served from the
+#     persistent store (counters["store.hit"] > 0).  The shared
+#     in-memory memo is disabled for the gate (--memo-max-mb 0 clamps
+#     it to one byte, which admits nothing) so a hit cannot hide in
+#     memory — it must come off disk;
 #   - the status report is well-formed: empty queue, two completed
-#     jobs, zero quarantined store entries, and exactly the requested
-#     worker domains alive — a pool of size N runs N-1 spawned domains
-#     (the submitting domain participates), so -j 2 must report
-#     live_domains 1: anything higher is a leak from a previous job.
-#     The post-close restoration check (domains torn down with the
-#     daemon) lives in test/test_serve.ml, where the observer outlives
-#     the server;
+#     jobs, session-wide store hits (counters["store.hit"] > 0), zero
+#     quarantined store entries (counters["store.quarantine"] == 0),
+#     and exactly the requested worker domains alive — a pool of size N
+#     runs N-1 spawned domains (the submitting domain participates), so
+#     -j 2 must report live_domains 1: anything higher is a leak from a
+#     previous job.  The post-close restoration check (domains torn
+#     down with the daemon) lives in test/test_serve.ml, where the
+#     observer outlives the server;
 #   - the daemon answers `quit` and exits cleanly.
 #
 # Run directly or via `make serve-smoke`; tools/ci.sh calls it too.
@@ -41,38 +44,41 @@ printf '%s\n%s\nstatus\nquit\n' "$job" "$job" \
 
 if command -v jq >/dev/null 2>&1; then
   jq -s -e '
-    (.[0].ok == true) and (.[0].compilations > 0) and (.[0].store_misses > 0)
-    and (.[1].ok == true) and (.[1].store_hits > 0)
+    (.[0].ok == true) and (.[0].counters["memo.miss"] > 0)
+    and (.[0].counters["store.miss"] > 0)
+    and (.[1].ok == true) and (.[1].counters["store.hit"] > 0)
     and (.[1].best_vector == .[0].best_vector)
     and (.[1].best_ncd == .[0].best_ncd)
     and (.[1].iterations == .[0].iterations)
     and (.[2].ok == true) and (.[2].queued == 0) and (.[2].completed == 2)
     and ((.[2].jobs | length) == 2)
-    and (.[2].store.hits > 0) and (.[2].store.quarantined == 0)
+    and (.[2].counters["store.hit"] > 0)
+    and (.[2].counters["store.quarantine"] == 0)
     and (.[2].live_domains == 1)
     and (.[3].ok == true)' "$serve_log" >/dev/null || {
     echo "serve-smoke: FAIL — daemon responses failed validation" >&2
     cat "$serve_log" >&2
     exit 1
   }
-  hits=$(jq -s '.[1].store_hits' "$serve_log")
+  hits=$(jq -s '.[1].counters["store.hit"]' "$serve_log")
 else
   python3 -c '
 import json, sys
 rs = [json.loads(l) for l in open(sys.argv[1])]
 assert len(rs) == 4
 j1, j2, status, bye = rs
-assert j1["ok"] and j1["compilations"] > 0 and j1["store_misses"] > 0, j1
-assert j2["ok"] and j2["store_hits"] > 0, j2
+c1, c2, cs = j1["counters"], j2["counters"], status["counters"]
+assert j1["ok"] and c1["memo.miss"] > 0 and c1["store.miss"] > 0, j1
+assert j2["ok"] and c2["store.hit"] > 0, j2
 assert j2["best_vector"] == j1["best_vector"], (j1, j2)
 assert j2["best_ncd"] == j1["best_ncd"], (j1, j2)
 assert j2["iterations"] == j1["iterations"], (j1, j2)
 assert status["ok"] and status["queued"] == 0 and status["completed"] == 2
 assert len(status["jobs"]) == 2
-assert status["store"]["hits"] > 0 and status["store"]["quarantined"] == 0
+assert cs["store.hit"] > 0 and cs["store.quarantine"] == 0, status
 assert status["live_domains"] == 1, status
 assert bye["ok"]
-print(j2["store_hits"])
+print(c2["store.hit"])
 ' "$serve_log" > "$serve_dir/hits" || {
     echo "serve-smoke: FAIL — daemon responses failed validation" >&2
     cat "$serve_log" >&2
