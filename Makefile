@@ -24,9 +24,9 @@ check:
 # two worker domains, full Table 1 driver (pretune fan-out + compile memo
 # + pass-prefix snapshot store + determinism sentinel all on the hot
 # path), then the search-strategy microbench (all five strategies through
-# the batched evaluation path, per-run evals/sec, and the hill
-# incremental-compilation off/on ablation, emitting BENCH_search.json)
-# from a scratch directory so the smoke numbers never clobber a committed
+# the batched evaluation path, and the hill incremental-compilation
+# off/on differential, emitting an outcome-only BENCH_search.json) from
+# a scratch directory so the smoke numbers never clobber a committed
 # full-run artifact, and finally a tiny `pareto` run (the vector-fitness
 # engine end to end: ncd,gadgets tuning, Pareto fronts, BENCH_pareto.json
 # — the experiment exits non-zero if any front is mutually dominated).
@@ -48,7 +48,7 @@ verify-ir:
 # The serve daemon end-to-end: stdin transport, scratch artifact store,
 # two identical jobs (the second must be served from disk — the memo is
 # disabled so hits cannot hide in memory), a status request, and a clean
-# quit.  tools/ci.sh runs the same script as its final gate.
+# quit.  tools/ci.sh runs the same script as its serve gate.
 serve-smoke:
 	tools/serve_smoke.sh
 

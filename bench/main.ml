@@ -935,37 +935,28 @@ let bechamel () =
     results
 
 (* ------------------------------------------------------------------ *)
-(* Search strategies: ablation + strategy sweep (paper §3.2, §4.1, §7)  *)
+(* Search strategies: strategy sweep (paper §3.2, §4.1, §7)             *)
 (* ------------------------------------------------------------------ *)
 
-(* Shared runner for the strategy experiments: every strategy goes
-   through the same batched evaluation path as [Tuner.tune] — compile +
-   code-stream projection fanned over the pool, compressed sizes
-   memoized in a per-run size cache — with the -Ox preset seeds and a
-   per-run rng fixed by [seed], so strategies differ only in what they
-   propose. *)
+(* Shared runner for the strategy sweep: every strategy goes through the
+   same batched evaluation path as [Tuner.tune] — compile + code-stream
+   projection fanned over the pool, compressed sizes memoized in a
+   per-run size cache — with the -Ox preset seeds and a per-run rng
+   fixed at seed 77, so strategies differ only in what they propose.
+   The budget is the only stop, so the comparison is spend-for-spend. *)
 type strategy_run = {
   outcome : Search.outcome;
-  wall_seconds : float;
-  evals_per_sec : float;
-  improvements : (float * float) list;
-      (* (wall seconds since start, best-so-far) at batch granularity;
-         the last entry is the wall-clock-to-final-fitness *)
   incr_hits : int;
   incr_misses : int;
 }
 
-let run_strategy ?(seed = 77) ?(incremental = false) ~budget ~plateau profile
-    bench strategy_name =
+let run_strategy ?(incremental = false) ~budget profile bench strategy_name =
   let ast = Corpus.program bench in
   let baseline = preset_binary profile "O0" bench in
   let baseline_stream = Bintuner.Tuner.code_stream baseline in
   let ncd_cache = Compress.Sizecache.create () in
   let store = if incremental then Some (Bintuner.Incremental.create ()) else None in
   let snapshot = Option.map Bintuner.Incremental.snapshot_store store in
-  let t0 = Unix.gettimeofday () in
-  let best = ref neg_infinity in
-  let improvements = ref [] in
   let batch_fitness vectors =
     let streams =
       Parallel.Pool.map !pool
@@ -974,19 +965,12 @@ let run_strategy ?(seed = 77) ?(incremental = false) ~budget ~plateau profile
             (Toolchain.Pipeline.compile_flags profile v ?snapshot ast))
         vectors
     in
-    let ncds =
-      Compress.Ncd.against ~pool:!pool ~cache:ncd_cache
-        ~baseline:baseline_stream streams
-    in
-    let bmax = Array.fold_left max neg_infinity ncds in
-    if bmax > !best then begin
-      best := bmax;
-      improvements := (Unix.gettimeofday () -. t0, bmax) :: !improvements
-    end;
-    ncds
+    Array.map
+      (fun ncd -> [| ncd |])
+      (Compress.Ncd.against ~pool:!pool ~cache:ncd_cache
+         ~baseline:baseline_stream streams)
   in
-  let fitness v = (batch_fitness [| v |]).(0) in
-  let rng = Util.Rng.create seed in
+  let rng = Util.Rng.create 77 in
   let problem =
     {
       Search.ngenes = Array.length profile.Toolchain.Flags.flags;
@@ -998,54 +982,27 @@ let run_strategy ?(seed = 77) ?(incremental = false) ~budget ~plateau profile
     }
   in
   let termination =
-    match plateau with
-    | Some (window, epsilon) ->
-      { Search.max_evaluations = budget;
-        plateau_window = window;
-        plateau_epsilon = epsilon }
-    | None ->
-      (* budget-only: every strategy spends the full allowance, so the
-         comparison is spend-for-spend *)
-      { Search.max_evaluations = budget;
-        plateau_window = budget;
-        plateau_epsilon = 0.0 }
+    { Search.max_evaluations = budget;
+      plateau_window = budget;
+      plateau_epsilon = 0.0 }
   in
   let outcome =
-    Search.run_scalar ~batch_fitness ~rng ~termination ~problem ~fitness
+    Search.run ~batch_fitness ~rng ~termination ~problem
+      ~fitness:(fun v -> (batch_fitness [| v |]).(0))
       (Search.of_name strategy_name)
   in
-  let wall_seconds = Unix.gettimeofday () -. t0 in
+  let count f = match store with Some s -> f s | None -> 0 in
   {
     outcome;
-    wall_seconds;
-    evals_per_sec = float_of_int outcome.Search.evaluations /. wall_seconds;
-    improvements = List.rev !improvements;
-    incr_hits = (match store with Some s -> Bintuner.Incremental.hits s | None -> 0);
-    incr_misses =
-      (match store with Some s -> Bintuner.Incremental.misses s | None -> 0);
+    incr_hits = count Bintuner.Incremental.hits;
+    incr_misses = count Bintuner.Incremental.misses;
   }
 
-let ablation () =
-  print_string
-    (section
-       "Ablation: search strategies (§4.1: GA beats local search; §3.2: ensemble)");
-  let budget = if !quick_mode then 60 else 300 in
-  List.iter
-    (fun (bname, profile) ->
-      let bench = Corpus.find bname in
-      List.iter
-        (fun sname ->
-          let r = run_strategy ~budget ~plateau:None profile bench sname in
-          printf "  %-14s %-10s best fitness %.3f in %d evaluations\n%!" bname
-            sname r.outcome.Search.best_fitness r.outcome.evaluations)
-        Search.all_names)
-    [ ("462.libquantum", Toolchain.Flags.llvm); ("coreutils", Toolchain.Flags.gcc) ]
-
-(* The strategy sweep microbench: best-NCD-vs-evaluations for every
-   registered strategy on a small benchmark × profile grid, emitted
-   machine-readably to BENCH_search.json (the search-layer analogue of
-   BENCH_ncd.json).  Budgets follow [-quick]; [-only] narrows the
-   benchmark set. *)
+(* The strategy sweep: best-NCD-vs-evaluations for every registered
+   strategy on a small benchmark × profile grid, emitted
+   machine-readably to BENCH_search.json.  It records outcomes only;
+   evaluation throughput is measured by perfbench's tune-hill workload.
+   Budgets follow [-quick]; [-only] narrows the benchmark set. *)
 let search_bench () =
   print_string
     (section "Search strategy sweep (best NCD vs evaluations per strategy)");
@@ -1065,64 +1022,44 @@ let search_bench () =
           (fun profile ->
             List.map
               (fun sname ->
-                let r = run_strategy ~budget ~plateau:None profile bench sname in
-                printf
-                  "  %-18s %-9s %-10s best NCD %.3f in %d evaluations \
-                   (%.1f evals/s)\n%!"
+                let r = run_strategy ~budget profile bench sname in
+                printf "  %-18s %-9s %-10s best NCD %.3f in %d evaluations\n%!"
                   bench.Corpus.bname profile.Toolchain.Flags.profile_name sname
-                  r.outcome.Search.best_fitness r.outcome.Search.evaluations
-                  r.evals_per_sec;
+                  r.outcome.Search.best_fitness r.outcome.Search.evaluations;
                 (bench, profile, sname, r))
               Search.all_names)
           profiles)
       benches
   in
-  (* The incremental-compilation ablation: hill at the same fixed budget
-     with the pass-prefix snapshot store off, then on.  Hill's ask is
-     the full single-bit-flip neighbourhood of the current point, the
+  (* The incremental-compilation differential: hill at the same fixed
+     budget with the pass-prefix snapshot store off, then on.  Hill's ask
+     is the full single-bit-flip neighbourhood of the current point, the
      best case for prefix resume — and the store is lossless, so the two
-     outcomes must be identical and only throughput may move. *)
+     outcomes must be identical while the store reports real hits. *)
   print_string
-    (section "Incremental compilation: hill evals/sec, prefix store off vs on");
-  let time_to_best r =
-    match List.rev r.improvements with (t, _) :: _ -> t | [] -> r.wall_seconds
-  in
+    (section "Incremental compilation: hill outcomes, prefix store off vs on");
   let incr_cases =
     List.concat_map
       (fun bench ->
         List.map
           (fun profile ->
-            let off =
-              run_strategy ~incremental:false ~budget ~plateau:None profile
-                bench "hill"
-            in
-            let on =
-              run_strategy ~incremental:true ~budget ~plateau:None profile
-                bench "hill"
-            in
+            let off = run_strategy ~budget profile bench "hill" in
+            let on = run_strategy ~incremental:true ~budget profile bench "hill" in
             let identical =
               off.outcome.Search.best = on.outcome.Search.best
               && off.outcome.best_fitness = on.outcome.best_fitness
               && off.outcome.evaluations = on.outcome.evaluations
               && off.outcome.history = on.outcome.history
             in
-            let speedup = on.evals_per_sec /. off.evals_per_sec in
-            printf
-              "  %-18s %-9s hill  %6.1f -> %6.1f evals/s (%.2fx)  \
-               to-best %.2fs -> %.2fs  prefix hits %d/%d  identical=%b\n%!"
+            printf "  %-18s %-9s hill  prefix hits %d/%d  identical=%b\n%!"
               bench.Corpus.bname profile.Toolchain.Flags.profile_name
-              off.evals_per_sec on.evals_per_sec speedup (time_to_best off)
-              (time_to_best on) on.incr_hits
+              on.incr_hits
               (on.incr_hits + on.incr_misses)
               identical;
-            (bench, profile, off, on, speedup, identical))
+            (bench, profile, off, on, identical))
           profiles)
       benches
   in
-  let speedup_min =
-    List.fold_left (fun a (_, _, _, _, s, _) -> min a s) infinity incr_cases
-  in
-  printf "  minimum hill evals/sec speedup: %.2fx\n" speedup_min;
   let oc = open_out "BENCH_search.json" in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
@@ -1139,39 +1076,30 @@ let search_bench () =
       in
       out
         "    {\"benchmark\": %S, \"profile\": %S, \"strategy\": %S, \
-         \"best_ncd\": %.4f, \"evaluations\": %d, \"wall_seconds\": %.3f, \
-         \"evals_per_sec\": %.2f, \"time_to_best_seconds\": %.3f, \
-         \"history\": [%s]}%s\n"
+         \"best_ncd\": %.4f, \"evaluations\": %d, \"history\": [%s]}%s\n"
         bench.Corpus.bname profile.Toolchain.Flags.profile_name sname
-        outcome.Search.best_fitness outcome.Search.evaluations r.wall_seconds
-        r.evals_per_sec (time_to_best r) history
+        outcome.Search.best_fitness outcome.Search.evaluations history
         (if i = List.length runs - 1 then "" else ","))
     runs;
   out "  ],\n";
   out "  \"incremental\": [\n";
   List.iteri
-    (fun i (bench, profile, off, on, speedup, identical) ->
+    (fun i (bench, profile, off, on, identical) ->
       let side (r : strategy_run) =
-        Printf.sprintf
-          "{\"wall_seconds\": %.3f, \"evals_per_sec\": %.2f, \
-           \"time_to_best_seconds\": %.3f, \"incr_hits\": %d, \
-           \"incr_misses\": %d}"
-          r.wall_seconds r.evals_per_sec (time_to_best r) r.incr_hits
+        Printf.sprintf "{\"incr_hits\": %d, \"incr_misses\": %d}" r.incr_hits
           r.incr_misses
       in
       out
         "    {\"benchmark\": %S, \"profile\": %S, \"strategy\": \"hill\", \
-         \"off\": %s, \"on\": %s, \"evals_per_sec_speedup\": %.2f, \
-         \"identical_outcome\": %b}%s\n"
+         \"off\": %s, \"on\": %s, \"identical_outcome\": %b}%s\n"
         bench.Corpus.bname profile.Toolchain.Flags.profile_name (side off)
-        (side on) speedup identical
+        (side on) identical
         (if i = List.length incr_cases - 1 then "" else ","))
     incr_cases;
-  out "  ],\n";
-  out "  \"hill_incremental_speedup_min\": %.2f\n" speedup_min;
+  out "  ]\n";
   out "}\n";
   close_out oc;
-  printf "  wrote BENCH_search.json (%d runs, %d incremental ablations)\n"
+  printf "  wrote BENCH_search.json (%d runs, %d incremental differentials)\n"
     (List.length runs) (List.length incr_cases)
 
 (* ------------------------------------------------------------------ *)
@@ -1218,14 +1146,15 @@ let multiobj () =
           repair = Toolchain.Constraints.repair profile rng;
         }
       in
-      Search.run_scalar ~rng
+      Search.run ~rng
         ~termination:
           {
             Search.max_evaluations = 200;
             plateau_window = 100;
             plateau_epsilon = 0.0035;
           }
-        ~problem ~fitness
+        ~problem
+        ~fitness:(fun v -> [| fitness v |])
         (Search.Genetic.strategy ())
     in
     let bin = Toolchain.Pipeline.compile_flags profile outcome.best ast in
@@ -1485,107 +1414,6 @@ let ncd_bench () =
   printf "  wrote BENCH_ncd.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* Driver                                                              *)
-(* ------------------------------------------------------------------ *)
-(* Serving mode: cold vs warm persistent store (BENCH_serve.json)      *)
-(* ------------------------------------------------------------------ *)
-
-(* The serving-mode payoff measured end to end: the same job through a
-   daemon whose persistent artifact store is cold (first ever run) and
-   then through a fresh daemon over the now-populated store directory —
-   the restart proves the warm-up comes from disk, not process memory
-   (the compile memo is capped to one byte so it never shadows the
-   store).  Store traffic is lossless, so outcomes must be identical;
-   only wall-clock and the hit counters may move. *)
-let serve_bench () =
-  print_string
-    (section "Serving mode: tuning wall-clock, cold vs warm artifact store");
-  let budget = !bench_termination.Search.max_evaluations in
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-  in
-  let benches =
-    let rec take n = function
-      | x :: tl when n > 0 -> x :: take (n - 1) tl
-      | _ -> []
-    in
-    take 2 (eval_set ())
-  in
-  let cases =
-    List.map
-      (fun (bench : Corpus.benchmark) ->
-        let dir = Filename.temp_file "bintuner-serve" "" in
-        Sys.remove dir;
-        Unix.mkdir dir 0o755;
-        Fun.protect
-          ~finally:(fun () -> rm_rf dir)
-          (fun () ->
-            let job =
-              Printf.sprintf "tune bench=%s profile=gcc budget=%d"
-                bench.Corpus.bname budget
-            in
-            let run_daemon () =
-              let srv =
-                Bintuner.Server.create
-                  ~jobs:(Parallel.Pool.default_size ())
-                  ~store_dir:dir ~memo_max_bytes:1 ()
-              in
-              Fun.protect
-                ~finally:(fun () -> Bintuner.Server.close srv)
-                (fun () ->
-                  ignore (Bintuner.Server.handle_line srv job);
-                  match Bintuner.Server.completed srv with
-                  | [ j ] -> j.Bintuner.Server.result
-                  | _ -> failwith ("serve bench: job failed on " ^ bench.bname))
-            in
-            let cold = run_daemon () in
-            let warm = run_daemon () in
-            let identical =
-              cold.Bintuner.Tuner.best_vector = warm.Bintuner.Tuner.best_vector
-              && cold.best_ncd = warm.best_ncd
-              && cold.iterations = warm.iterations
-            in
-            let speedup = cold.wall_seconds /. warm.wall_seconds in
-            printf
-              "  %-18s cold %6.2fs -> warm %6.2fs (%.2fx)  store hits \
-               %d/%d  identical=%b\n%!"
-              bench.Corpus.bname cold.wall_seconds warm.wall_seconds speedup
-              (counter warm "store.hit")
-              (counter warm "store.hit" + counter warm "store.miss")
-              identical;
-            (bench, cold, warm, speedup, identical)))
-      benches
-  in
-  let oc = open_out "BENCH_serve.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"budget\": %d,\n" budget;
-  out "  \"cases\": [\n";
-  List.iteri
-    (fun i (bench, cold, warm, speedup, identical) ->
-      let side (j : Bintuner.Tuner.result) =
-        Printf.sprintf
-          "{\"wall_seconds\": %.3f, \"store_hits\": %d, \"store_misses\": %d, \
-           \"compilations\": %d}"
-          j.wall_seconds (counter j "store.hit") (counter j "store.miss")
-          (counter j "memo.miss")
-      in
-      out
-        "    {\"benchmark\": %S, \"profile\": \"gcc-10.2\", \"cold\": %s, \
-         \"warm\": %s, \"wall_speedup\": %.2f, \"identical_outcome\": %b}%s\n"
-        bench.Corpus.bname (side cold) (side warm) speedup identical
-        (if i = List.length cases - 1 then "" else ","))
-    cases;
-  out "  ]\n";
-  out "}\n";
-  close_out oc;
-  printf "  wrote BENCH_serve.json (%d cold/warm pairs)\n" (List.length cases)
-
-(* ------------------------------------------------------------------ *)
 (* Binary insight: gadget census and dead code per preset per arch     *)
 (* ------------------------------------------------------------------ *)
 
@@ -1665,6 +1493,8 @@ let binsight () =
   if !mismatches > 0 then exit 1
 
 (* ------------------------------------------------------------------ *)
+(* Driver                                                              *)
+(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1682,8 +1512,6 @@ let experiments =
     ("speed", speed);
     ("ncd", ncd_bench);
     ("search", search_bench);
-    ("serve", serve_bench);
-    ("ablation", ablation);
     ("multiobj", multiobj);
     ("pareto", pareto_bench);
     ("binsight", binsight);

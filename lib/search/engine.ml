@@ -38,7 +38,7 @@ type tracker = {
 let stale_generation_limit = 10_000
 
 let run ?batch_fitness ?(scalarize = fun (v : float array) -> v.(0))
-    ?(axes = []) ?archive ~rng ~termination ~problem ~fitness strategy =
+    ?(axes = []) ~rng ~termination ~problem ~fitness strategy =
   let open Strategy in
   let (module S : STRATEGY) = strategy in
   let batch =
@@ -46,9 +46,7 @@ let run ?batch_fitness ?(scalarize = fun (v : float array) -> v.(0))
     | Some f -> f
     | None -> fun genomes -> Array.map fitness genomes
   in
-  let archive =
-    match archive with Some a -> a | None -> Pareto.create ()
-  in
+  let archive = Pareto.create () in
   let pfx = "search." ^ S.name in
   let st =
     {

@@ -44,22 +44,6 @@ let default_termination = Strategy.default_termination
 let name = Strategy.name
 let run = Engine.run
 
-(* The 1-objective convenience wrapper: scalar fitness in, scalar
-   bookkeeping out.  Wrapping every score in a singleton vector and
-   scalarizing with the (default) identity leaves the engine's decision
-   trace bit-identical to the pre-vector float engine — this is the
-   entry point the frozen-GA differential locks. *)
-let run_scalar ?batch_fitness ?archive ~rng ~termination ~problem ~fitness
-    strategy =
-  let batch_fitness =
-    match batch_fitness with
-    | None -> None
-    | Some f -> Some (fun genomes -> Array.map (fun x -> [| x |]) (f genomes))
-  in
-  Engine.run ?batch_fitness ?archive ~rng ~termination ~problem
-    ~fitness:(fun g -> [| fitness g |])
-    strategy
-
 let all_names = [ "ga"; "hill"; "anneal"; "random"; "ensemble" ]
 
 let of_name = function

@@ -101,7 +101,6 @@ val run :
   ?batch_fitness:(bool array array -> float array array) ->
   ?scalarize:(float array -> float) ->
   ?axes:string list ->
-  ?archive:Pareto.t ->
   rng:Util.Rng.t ->
   termination:termination ->
   problem:problem ->
@@ -121,10 +120,13 @@ val run :
     the default is [fun v -> v.(0)] — the exact 1-objective identity —
     and {!Objective.scalarize} builds the weighted-sum fold for a spec.
     [axes] names the vector components for the per-axis
-    [search.<name>.best.<axis>] telemetry gauges.  [archive] is the
-    Pareto archive to populate (a fresh default-bound one otherwise);
-    inserts are passive — no randomness, no feedback into strategy
-    decisions — so they cannot perturb the search trace.
+    [search.<name>.best.<axis>] telemetry gauges.  Every scored vector
+    goes into a fresh default-bound Pareto archive; inserts are passive
+    — no randomness, no feedback into strategy decisions — so they
+    cannot perturb the search trace.  A scalar fitness [f] runs as
+    [~fitness:(fun g -> [| f g |])]: with the default scalarization the
+    trace is bit-identical to the pre-vector float engine (the frozen-GA
+    differential).
 
     All search decisions stay on the caller's [rng] in the sequential
     part of the loop, so the outcome is a function of the inputs alone —
@@ -134,20 +136,6 @@ val run :
     gated on the budget and the plateau window.  The plateau test is
     relative gain at a positive incumbent and absolute gain at a zero or
     negative one (a relative test divides by zero or flips sign there). *)
-
-val run_scalar :
-  ?batch_fitness:(bool array array -> float array) ->
-  ?archive:Pareto.t ->
-  rng:Util.Rng.t ->
-  termination:termination ->
-  problem:problem ->
-  fitness:(bool array -> float) ->
-  strategy ->
-  outcome
-(** The historical scalar entry point: wraps every fitness in a
-    singleton vector and runs {!run} with the identity scalarization.
-    Bit-identical to the pre-vector float engine (frozen-GA
-    differential). *)
 
 (** Named fitness axes, objective-spec parsing ("ncd,gadgets:0.5"),
     weighted-sum scalarization, and memoized axis evaluation over

@@ -19,9 +19,13 @@ let no_plateau budget =
 let run_strategy ?batch_fitness ~seed ~ngenes ~budget ~seeds ~repair ~fitness
     strategy =
   let rng = Util.Rng.create seed in
-  Search.run_scalar ?batch_fitness ~rng ~termination:(no_plateau budget)
+  let batch_fitness =
+    Option.map (fun f gs -> Array.map (fun x -> [| x |]) (f gs)) batch_fitness
+  in
+  Search.run ?batch_fitness ~rng ~termination:(no_plateau budget)
     ~problem:{ Search.ngenes; seeds; repair }
-    ~fitness strategy
+    ~fitness:(fun g -> [| fitness g |])
+    strategy
 
 (* (a) the evaluation budget is never exceeded, and [evaluations]
    reports exactly the number of fitness calls *)
@@ -180,13 +184,13 @@ let test_plateau_stops_every_strategy () =
     (fun name ->
       let rng = Util.Rng.create 3 in
       let o =
-        Search.run_scalar ~rng
+        Search.run ~rng
           ~termination:
             { Search.max_evaluations = 10_000;
               plateau_window = 32;
               plateau_epsilon = 0.0035 }
           ~problem:{ Search.ngenes = 12; seeds = []; repair = (fun g -> g) }
-          ~fitness:(fun _ -> 1.0)
+          ~fitness:(fun _ -> [| 1.0 |])
           (Search.of_name name)
       in
       Alcotest.(check bool)
@@ -214,14 +218,15 @@ let test_strategies_respect_real_constraints () =
           [ "O1"; "O2"; "O3"; "Os" ]
       in
       ignore
-        (Search.run_scalar ~rng ~termination:(no_plateau 40)
+        (Search.run ~rng ~termination:(no_plateau 40)
            ~problem:
              {
                Search.ngenes;
                seeds;
                repair = Toolchain.Constraints.repair profile rng;
              }
-           ~fitness (Search.of_name name));
+           ~fitness:(fun g -> [| fitness g |])
+           (Search.of_name name));
       Alcotest.(check bool)
         (name ^ ": every evaluated genome satisfies the constraints")
         true !ok)
@@ -297,9 +302,9 @@ let frozen_vs_search ~seed ~ngenes ~budget ~window ~epsilon ~seeds ~fitness
   in
   let ported =
     let rng = Util.Rng.create seed in
-    Search.run_scalar ~rng ~termination
+    Search.run ~rng ~termination
       ~problem:{ Search.ngenes; seeds; repair = make_repair rng }
-      ~fitness
+      ~fitness:(fun g -> [| fitness g |])
       (Search.Genetic.strategy ())
   in
   frozen.Frozen_ga.best = ported.Search.best
@@ -426,10 +431,10 @@ let test_pareto_dominated_never_enters () =
 (* --- the vector engine's 1-objective path is the scalar engine --- *)
 
 let test_vector_engine_matches_scalar_on_every_strategy () =
-  (* same fitness exposed two ways: the historical scalar hook, and a
-     2-axis vector whose scalarization reads axis 0.  Every strategy
-     must produce the identical trajectory — strategies rank on the
-     scalarized score, and the archive consumes no randomness. *)
+  (* same fitness exposed two ways: a singleton vector (the scalar
+     path), and a 2-axis vector whose scalarization reads axis 0.  Every
+     strategy must produce the identical trajectory — strategies rank on
+     the scalarized score, and the archive consumes no randomness. *)
   List.iter
     (fun name ->
       let f g = float_of_int (Hashtbl.hash (Array.to_list g) mod 1000) /. 50.0 in
@@ -437,7 +442,8 @@ let test_vector_engine_matches_scalar_on_every_strategy () =
       let problem = { Search.ngenes = 14; seeds = []; repair = (fun g -> g) } in
       let scalar =
         let rng = Util.Rng.create 31 in
-        Search.run_scalar ~rng ~termination ~problem ~fitness:f
+        Search.run ~rng ~termination ~problem
+          ~fitness:(fun g -> [| f g |])
           (Search.of_name name)
       in
       let vector =
@@ -480,13 +486,14 @@ let test_plateau_fires_on_negative_fitness () =
       calls := 0;
       let rng = Util.Rng.create 17 in
       let o =
-        Search.run_scalar ~rng
+        Search.run ~rng
           ~termination:
             { Search.max_evaluations = 10_000;
               plateau_window = 32;
               plateau_epsilon = 0.0035 }
           ~problem:{ Search.ngenes = 10; seeds = []; repair = (fun g -> g) }
-          ~fitness (Search.of_name name)
+          ~fitness:(fun g -> [| fitness g |])
+          (Search.of_name name)
       in
       Alcotest.(check bool)
         (name ^ ": plateau fires despite sub-epsilon negative crawl")

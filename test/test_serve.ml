@@ -153,46 +153,53 @@ let test_serve_cross_job_sharing () =
               (Printf.sprintf "expected 2 completed jobs, got %d"
                  (List.length l))))
 
-(* The acceptance differential: a warm daemon's second job reports
-   nonzero persistent-store hits and a best_vector bit-identical to a
+(* The acceptance differential across a restart: job 1 fills the
+   persistent store and its daemon closes, then a fresh daemon over the
+   same directory runs job 2.  Job 2 must be served entirely from disk
+   (store hits, zero store misses) with a best_vector bit-identical to a
    cold one-shot [Tuner.tune].  The memo is capped to one byte so it can
    never shadow the store — every compile request of job 2 falls through
-   to disk. *)
+   to disk.  One-daemon sharing is test_serve_cross_job_sharing's. *)
 let test_serve_warm_store_matches_cold_tune () =
   with_temp_dir (fun dir ->
-      let srv = Bintuner.Server.create ~store_dir:dir ~memo_max_bytes:1 () in
-      Fun.protect
-        ~finally:(fun () -> Bintuner.Server.close srv)
-        (fun () ->
-          ignore (request srv job_line);
-          ignore (request srv job_line);
-          let cold =
-            Bintuner.Tuner.tune
-              ~termination:
-                { Search.default_termination with max_evaluations = budget }
-              ~strategy:(Search.of_name "ga")
-              ~profile:Toolchain.Flags.gcc
-              (Corpus.find "462.libquantum")
-          in
-          match Bintuner.Server.completed srv with
-          | [ j1; j2 ] ->
-            Alcotest.(check bool) "job 1 populated the store" true
-              (counter j1 "store.miss" > 0);
-            Alcotest.(check bool) "job 2 reports persistent-store hits" true
-              (counter j2 "store.hit" > 0);
-            let warm = j2.result in
-            Alcotest.(check string) "job 2 best vector = cold one-shot tune"
-              (Bintuner.Database.vector_to_string cold.Bintuner.Tuner.best_vector)
-              (Bintuner.Database.vector_to_string warm.best_vector);
-            Alcotest.(check bool) "job 2 best ncd bit-identical to cold" true
-              (Int64.bits_of_float warm.best_ncd
-              = Int64.bits_of_float cold.Bintuner.Tuner.best_ncd);
-            Alcotest.(check int) "same iteration count" cold.iterations
-              warm.iterations
-          | l ->
-            Alcotest.fail
-              (Printf.sprintf "expected 2 completed jobs, got %d"
-                 (List.length l))))
+      let run_daemon () =
+        let srv = Bintuner.Server.create ~store_dir:dir ~memo_max_bytes:1 () in
+        Fun.protect
+          ~finally:(fun () -> Bintuner.Server.close srv)
+          (fun () ->
+            ignore (request srv job_line);
+            match Bintuner.Server.completed srv with
+            | [ j ] -> j
+            | l ->
+              Alcotest.fail
+                (Printf.sprintf "expected 1 completed job, got %d"
+                   (List.length l)))
+      in
+      let j1 = run_daemon () in
+      let j2 = run_daemon () in
+      let cold =
+        Bintuner.Tuner.tune
+          ~termination:
+            { Search.default_termination with max_evaluations = budget }
+          ~strategy:(Search.of_name "ga")
+          ~profile:Toolchain.Flags.gcc
+          (Corpus.find "462.libquantum")
+      in
+      Alcotest.(check bool) "job 1 populated the store" true
+        (counter j1 "store.miss" > 0);
+      Alcotest.(check bool) "job 2 reports persistent-store hits" true
+        (counter j2 "store.hit" > 0);
+      Alcotest.(check int) "job 2 misses the restarted store nowhere" 0
+        (counter j2 "store.miss");
+      let warm = j2.result in
+      Alcotest.(check string) "job 2 best vector = cold one-shot tune"
+        (Bintuner.Database.vector_to_string cold.Bintuner.Tuner.best_vector)
+        (Bintuner.Database.vector_to_string warm.best_vector);
+      Alcotest.(check bool) "job 2 best ncd bit-identical to cold" true
+        (Int64.bits_of_float warm.best_ncd
+        = Int64.bits_of_float cold.Bintuner.Tuner.best_ncd);
+      Alcotest.(check int) "same iteration count" cold.iterations
+        warm.iterations)
 
 (* Crash recovery: a store directory with a torn shard entry must load,
    quarantine the entry on first touch, recompute, and finish the job —

@@ -8,9 +8,9 @@ let quick_term =
 
 let run_ga ?(params = Search.Genetic.default_params) ~rng ~termination ~ngenes
     ~seeds ~repair ~fitness () =
-  Search.run_scalar ~rng ~termination
+  Search.run ~rng ~termination
     ~problem:{ Search.ngenes; seeds; repair }
-    ~fitness
+    ~fitness:(fun g -> [| fitness g |])
     (Search.Genetic.strategy ~params ())
 
 (* --- genetic algorithm on a known landscape --- *)

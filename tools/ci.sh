@@ -19,8 +19,8 @@
 #      and reproduces the same sentinel; the fig5 NCD batch must report
 #      size-cache hits;
 #   6. ncd microbench smoke — the `ncd` experiment must emit a parseable
-#      BENCH_ncd.json whose chained-vs-greedy throughput speedup is > 1
-#      and whose size cache reports hits;
+#      BENCH_ncd.json covering at least two match-finder levels, whose
+#      size cache reports hits (its throughputs are recorded, not gated);
 #   7. static-analysis gate — the IR verifier must accept every pass of a
 #      corpus-wide compile sweep (presets × profiles × archs × random
 #      valid flag vectors), the pedantic lint must report nothing beyond
@@ -40,26 +40,27 @@
 #      is already pinned to the frozen greedy sentinel by step 4;
 #  10. search microbench smoke — the `search` experiment must emit a
 #      parseable BENCH_search.json covering all five strategies, each
-#      within the declared budget with positive evals/sec, and the hill
-#      incremental-compilation ablation must report outcomes identical
-#      with the prefix store on, real snapshot hits, and an evals/sec
-#      speedup above 1 (the incremental-differential gate; the committed
-#      full-budget artifact records the >= 1.5x speedup).
+#      within the declared budget, and the hill incremental-compilation
+#      differential must report outcomes identical with the prefix store
+#      on and real snapshot hits.  It records no wall time; throughput is
+#      perfbench's tune-hill workload (perfbench/README.md).
 #  11. serve smoke gate — tools/serve_smoke.sh boots the `serve` daemon
 #      in stdin mode against a scratch persistent store, submits two
 #      identical jobs plus a `status` request, and asserts job 2 is
 #      served from the store (counters["store.hit"] > 0, with the memo
 #      disabled so a hit cannot hide there), both jobs agree
 #      bit-for-bit, the status report is coherent, and no worker
-#      domains leak; afterwards the frozen greedy table1 sentinel is
-#      re-checked — a daemon run must not perturb the one-shot path.
+#      domains leak.
 #  12. multi-objective smoke gate — a CLI `tune --objective ncd,gadgets`
 #      run must report a non-empty, mutually non-dominated Pareto front
-#      that is byte-identical at -j 1 and -j 2; the `pareto` experiment
-#      must emit a parseable BENCH_pareto.json (non-dominated fronts,
-#      per-axis memo traffic); and the frozen greedy table1 sentinel is
-#      re-checked once more — the vector engine's scalar path must stay
-#      bit-for-bit the pre-refactor engine.
+#      that is byte-identical at -j 1 and -j 2, and the `pareto`
+#      experiment must emit a parseable BENCH_pareto.json (non-dominated
+#      fronts, per-axis memo traffic).
+#
+# The bench driver reads no on-disk state, so step 4's greedy sentinel
+# runs once: the daemon writes only to its scratch store and cannot
+# perturb the one-shot path.  Every JSON check is a python3 script
+# (perfbench/selftest.py needs python3 too).
 #
 # Exits non-zero on any failure.
 
@@ -124,19 +125,13 @@ dune exec bench/main.exe -- -quick -j 2 -only coreutils \
 [ -s "$trace_file" ] || { echo "ci: FAIL — -trace produced no events" >&2; exit 1; }
 
 # every line must be a standalone JSON object with a type and a name
-if command -v jq >/dev/null 2>&1; then
-  bad=$(jq 'select((has("type") and has("name")) | not) | 1' "$trace_file") \
-    || { echo "ci: FAIL — trace is not parseable ndjson" >&2; exit 1; }
-  [ -z "$bad" ] \
-    || { echo "ci: FAIL — trace event missing type/name" >&2; exit 1; }
-else
-  python3 -c '
+python3 -c '
 import json, sys
 for line in open(sys.argv[1]):
     ev = json.loads(line)
-    assert "type" in ev and "name" in ev
-' "$trace_file" || { echo "ci: FAIL — trace is not parseable ndjson" >&2; exit 1; }
-fi
+    assert "type" in ev and "name" in ev, ev
+' "$trace_file" \
+  || { echo "ci: FAIL — trace is not parseable ndjson with type/name" >&2; exit 1; }
 
 for span in '"name":"compile"' '"name":"pass.' '"name":"search.ga.generation"' \
             '"name":"pool.chunk"' '"name":"tuner.ncd"' '"name":"tuner.binhunt"'; do
@@ -187,17 +182,7 @@ inspect_json="$root/_build/inspect_ci.json"
 dune exec bin/bintuner_cli.exe -- inspect --all --arch all --preset O2 \
     --json "$inspect_json" > /dev/null \
   || { echo "ci: FAIL — inspect found disassembly mismatches" >&2; exit 1; }
-if command -v jq >/dev/null 2>&1; then
-  jq -e '(length >= 1)
-         and all(.[]; .disasm.mismatches == 0 and .disasm.insns > 0
-                      and .size.text > 0 and .gadgets.k >= 1
-                      and (.gadgets.unique >= .gadgets.by_class.ret)
-                      and ((.features.provenance | length) == 24)
-                      and ((.features.functions | length) == .disasm.functions))' \
-    "$inspect_json" >/dev/null \
-    || { echo "ci: FAIL — inspect JSON failed schema validation" >&2; exit 1; }
-else
-  python3 -c '
+python3 -c '
 import json, sys
 reports = json.load(open(sys.argv[1]))
 assert len(reports) >= 1
@@ -209,8 +194,7 @@ for r in reports:
     assert len(r["features"]["provenance"]) == 24
     assert len(r["features"]["functions"]) == r["disasm"]["functions"]
 ' "$inspect_json" \
-    || { echo "ci: FAIL — inspect JSON failed schema validation" >&2; exit 1; }
-fi
+  || { echo "ci: FAIL — inspect JSON failed schema validation" >&2; exit 1; }
 rm -f "$inspect_json"
 
 echo "== ci: ncd microbench smoke =="
@@ -222,22 +206,14 @@ trap 'rm -f "$smoke_log" "$trace_file" "$profile_log"; rm -rf "$ncd_dir"' EXIT
   > "$ncd_dir/ncd.log"
 [ -s "$ncd_dir/BENCH_ncd.json" ] \
   || { echo "ci: FAIL — ncd microbench wrote no BENCH_ncd.json" >&2; exit 1; }
-if command -v jq >/dev/null 2>&1; then
-  jq -e '(.streams >= 1) and (.total_bytes > 0) and ((.levels | length) >= 2)
-         and (.chained_default_vs_greedy_speedup > 1.0) and (.size_cache.hits > 0)' \
-    "$ncd_dir/BENCH_ncd.json" >/dev/null \
-    || { echo "ci: FAIL — BENCH_ncd.json failed validation" >&2; exit 1; }
-else
-  python3 -c '
+python3 -c '
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["streams"] >= 1 and d["total_bytes"] > 0
 assert len(d["levels"]) >= 2
-assert d["chained_default_vs_greedy_speedup"] > 1.0, d
-assert d["size_cache"]["hits"] > 0
+assert d["size_cache"]["hits"] > 0, d
 ' "$ncd_dir/BENCH_ncd.json" \
-    || { echo "ci: FAIL — BENCH_ncd.json failed validation" >&2; exit 1; }
-fi
+  || { echo "ci: FAIL — BENCH_ncd.json failed validation" >&2; exit 1; }
 
 echo "== ci: strategy smoke gate (CLI tune, all strategies) =="
 # Every strategy must run end-to-end through the shared search engine and
@@ -272,20 +248,7 @@ trap 'rm -f "$smoke_log" "$trace_file" "$profile_log"; rm -rf "$ncd_dir" "$searc
   -only 462.libquantum search) > "$search_dir/search.log"
 [ -s "$search_dir/BENCH_search.json" ] \
   || { echo "ci: FAIL — search microbench wrote no BENCH_search.json" >&2; exit 1; }
-if command -v jq >/dev/null 2>&1; then
-  jq -e '(.budget > 0) and ((.runs | length) >= 5)
-         and ([.runs[].strategy] | unique | length >= 5)
-         and ([.runs[] | select(.evaluations < 1 or .evaluations > $b)] | length == 0)
-         and ([.runs[] | select(.evals_per_sec <= 0)] | length == 0)
-         and ((.incremental | length) >= 1)
-         and ([.incremental[] | select(.identical_outcome != true)] | length == 0)
-         and ([.incremental[] | select(.evals_per_sec_speedup <= 1.0)] | length == 0)
-         and ([.incremental[] | select(.on.incr_hits < 1)] | length == 0)' \
-    --argjson b "$(jq .budget "$search_dir/BENCH_search.json")" \
-    "$search_dir/BENCH_search.json" >/dev/null \
-    || { echo "ci: FAIL — BENCH_search.json failed validation" >&2; exit 1; }
-else
-  python3 -c '
+python3 -c '
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["budget"] > 0
@@ -293,27 +256,15 @@ assert len(d["runs"]) >= 5
 assert len({r["strategy"] for r in d["runs"]}) >= 5
 for r in d["runs"]:
     assert 1 <= r["evaluations"] <= d["budget"], r
-    assert r["evals_per_sec"] > 0, r
 assert len(d["incremental"]) >= 1
 for c in d["incremental"]:
     assert c["identical_outcome"] is True, c
-    assert c["evals_per_sec_speedup"] > 1.0, c
     assert c["on"]["incr_hits"] >= 1, c
 ' "$search_dir/BENCH_search.json" \
-    || { echo "ci: FAIL — BENCH_search.json failed validation" >&2; exit 1; }
-fi
+  || { echo "ci: FAIL — BENCH_search.json failed validation" >&2; exit 1; }
 
 echo "== ci: serve smoke gate (daemon + persistent store) =="
 tools/serve_smoke.sh
-
-# the daemon writes only to its scratch store, so the one-shot bench
-# path must still reproduce the pre-overhaul frozen oracle afterwards
-sentinel_after_serve=$(dune exec bench/main.exe -- -quick -j 2 -lz-level greedy table1 \
-  | grep 'table1 determinism sentinel:' | awk '{print $NF}')
-if [ "$sentinel_after_serve" != "$greedy_baseline" ]; then
-  echo "ci: FAIL — greedy sentinel drifted after the serve gate ($sentinel_after_serve vs $greedy_baseline)" >&2
-  exit 1
-fi
 
 echo "== ci: multi-objective smoke gate (tune --objective ncd,gadgets) =="
 mo_dir=$(mktemp -d)
@@ -347,17 +298,7 @@ echo "== ci: pareto microbench smoke =="
   -only 462.libquantum pareto) > "$mo_dir/pareto.log"
 [ -s "$mo_dir/BENCH_pareto.json" ] \
   || { echo "ci: FAIL — pareto microbench wrote no BENCH_pareto.json" >&2; exit 1; }
-if command -v jq >/dev/null 2>&1; then
-  jq -e '(.objectives == ["ncd", "gadgets"]) and (.budget > 0)
-         and ((.runs | length) >= 2)
-         and (.all_fronts_non_dominated == true)
-         and ([.runs[] | select(.front_size < 1)] | length == 0)
-         and ([.runs[] | select((.front | length) != .front_size)] | length == 0)
-         and ([.runs[] | select(.objective_memo_misses < 1)] | length == 0)' \
-    "$mo_dir/BENCH_pareto.json" >/dev/null \
-    || { echo "ci: FAIL — BENCH_pareto.json failed validation" >&2; exit 1; }
-else
-  python3 -c '
+python3 -c '
 import json, sys
 d = json.load(open(sys.argv[1]))
 assert d["objectives"] == ["ncd", "gadgets"]
@@ -367,16 +308,6 @@ for r in d["runs"]:
     assert r["front_size"] >= 1 and len(r["front"]) == r["front_size"], r
     assert r["objective_memo_misses"] >= 1, r
 ' "$mo_dir/BENCH_pareto.json" \
-    || { echo "ci: FAIL — BENCH_pareto.json failed validation" >&2; exit 1; }
-fi
-
-# the vector engine's 1-objective path claims bit-identity with the
-# pre-refactor scalar engine: the frozen greedy oracle must still hold
-sentinel_after_pareto=$(dune exec bench/main.exe -- -quick -j 2 -lz-level greedy table1 \
-  | grep 'table1 determinism sentinel:' | awk '{print $NF}')
-if [ "$sentinel_after_pareto" != "$greedy_baseline" ]; then
-  echo "ci: FAIL — greedy sentinel drifted after the multi-objective gate ($sentinel_after_pareto vs $greedy_baseline)" >&2
-  exit 1
-fi
+  || { echo "ci: FAIL — BENCH_pareto.json failed validation" >&2; exit 1; }
 
 echo "ci: OK (sentinel $sentinel_j1, greedy oracle stable, $memo_hits memo hits, ncd cache hits $ncd_hits, all strategies within budget, pareto front $front_points points, $(wc -l < "$trace_file") trace events)"
