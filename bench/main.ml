@@ -1202,12 +1202,10 @@ let pareto_bench () =
       (fun bench ->
         List.map
           (fun profile ->
-            let t0 = Unix.gettimeofday () in
             let r =
               Bintuner.Tuner.tune ~termination:!bench_termination ~pool:!pool
                 ~objectives ~profile bench
             in
-            let wall = Unix.gettimeofday () -. t0 in
             (* axis 0 is NCD; axis 1 is the negated gadget-census size,
                so gadget count = -. fitness.(1) *)
             let front =
@@ -1230,22 +1228,22 @@ let pareto_bench () =
             in
             printf
               "  %-18s %-9s front=%d  best NCD %.3f @ %.0f gadgets  %s  \
-               (%d evaluations, %.1fs)\n%!"
+               (%d evaluations)\n%!"
               bench.Corpus.bname profile.Toolchain.Flags.profile_name
               (List.length front) best_ncd gadgets_at_best
               (match forfeit with
               | Some d ->
                 Printf.sprintf "NCD given up at 50%% gadget cut: %.3f" d
               | None -> "no front point reaches a 50% gadget cut")
-              r.iterations wall;
-            (bench, profile, r, front, best_ncd, gadgets_at_best, forfeit, wall))
+              r.iterations;
+            (bench, profile, r, front, best_ncd, gadgets_at_best, forfeit))
           profiles)
       benches
   in
   (* gate: every front the archive returns must be mutually non-dominated *)
   let all_non_dominated =
     List.for_all
-      (fun (_, _, r, _, _, _, _, _) ->
+      (fun (_, _, r, _, _, _, _) ->
         Search.Pareto.is_non_dominated
           (List.map (fun (v, f) -> (v, f)) r.Bintuner.Tuner.front))
       cases
@@ -1254,7 +1252,7 @@ let pareto_bench () =
     all_non_dominated;
   let multi_point =
     List.length
-      (List.filter (fun (_, _, _, front, _, _, _, _) ->
+      (List.filter (fun (_, _, _, front, _, _, _) ->
            List.length front >= 2)
          cases)
   in
@@ -1268,7 +1266,7 @@ let pareto_bench () =
   out "  \"runs\": [\n";
   List.iteri
     (fun i (bench, profile, (r : Bintuner.Tuner.result), front, best_ncd,
-            gadgets_at_best, forfeit, wall) ->
+            gadgets_at_best, forfeit) ->
       let points =
         String.concat ","
           (List.map
@@ -1282,14 +1280,14 @@ let pareto_bench () =
          \"best_ncd\": %.4f, \"gadgets_at_best_ncd\": %.0f, \
          \"ncd_forfeit_at_half_gadgets\": %s, \"evaluations\": %d, \
          \"objective_memo_hits\": %d, \"objective_memo_misses\": %d, \
-         \"wall_seconds\": %.3f, \"front\": [%s]}%s\n"
+         \"front\": [%s]}%s\n"
         bench.Corpus.bname profile.Toolchain.Flags.profile_name
         (List.length front) best_ncd gadgets_at_best
         (match forfeit with Some d -> Printf.sprintf "%.4f" d | None -> "null")
         r.iterations
         (counter r "objective.memo.hit")
         (counter r "objective.memo.miss")
-        wall points
+        points
         (if i = List.length cases - 1 then "" else ","))
     cases;
   out "  ],\n";

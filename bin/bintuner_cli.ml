@@ -12,17 +12,12 @@
 
 open Cmdliner
 
-let profile_of = function
-  | "gcc" | "gcc-10.2" -> Toolchain.Flags.gcc
-  | "llvm" | "llvm-11.0" -> Toolchain.Flags.llvm
-  | s -> failwith ("unknown profile " ^ s ^ " (use gcc | llvm)")
+(* --profile and --arch go through the library's name lookups, the
+   same ones the serve daemon uses *)
+let lookup find error name =
+  try find name with Not_found -> failwith (error name)
 
-let arch_of = function
-  | "x86-64" -> Isa.Insn.X86_64
-  | "x86-32" -> Isa.Insn.X86_32
-  | "arm" -> Isa.Insn.Arm
-  | "mips" -> Isa.Insn.Mips
-  | s -> failwith ("unknown arch " ^ s)
+let arch_of = lookup Isa.Insn.arch_of_name (fun s -> "unknown arch " ^ s)
 
 let load_program ~bench ~source =
   match source with
@@ -50,10 +45,16 @@ let source_arg =
   Arg.(value & opt (some file) None & info [ "source" ] ~doc:"MinC source file (overrides --bench).")
 
 let profile_arg =
-  Arg.(value & opt string "gcc" & info [ "profile" ] ~doc:"Compiler profile: gcc | llvm.")
+  Term.(
+    const
+      (lookup Toolchain.Flags.find (fun s ->
+           "unknown profile " ^ s ^ " (use gcc | llvm)"))
+    $ Arg.(value & opt string "gcc" & info [ "profile" ] ~doc:"Compiler profile: gcc | llvm."))
 
 let arch_arg =
-  Arg.(value & opt string "x86-64" & info [ "arch" ] ~doc:"Target: x86-64 | x86-32 | arm | mips.")
+  Term.(
+    const arch_of
+    $ Arg.(value & opt string "x86-64" & info [ "arch" ] ~doc:"Target: x86-64 | x86-32 | arm | mips."))
 
 let lz_level_conv =
   let parse s =
@@ -86,13 +87,13 @@ let compile_cmd =
   let preset =
     Arg.(value & opt string "O2" & info [ "preset" ] ~doc:"O0|O1|O2|O3|Os.")
   in
-  let run bench source profile arch preset verify_ir =
+  let run bench source p arch preset verify_ir =
     if verify_ir then Toolchain.Pipeline.verify_default := true;
     let program, b = load_program ~bench ~source in
-    let p = profile_of profile in
-    let bin = Toolchain.Pipeline.compile_preset p ~arch:(arch_of arch) preset program in
+    let bin = Toolchain.Pipeline.compile_preset p ~arch preset program in
     Printf.printf "%s %s %s (%s): %d bytes code, %d bytes data, %d functions\n"
-      b.Corpus.bname p.profile_name preset arch
+      b.Corpus.bname p.Toolchain.Flags.profile_name preset
+      (Isa.Insn.arch_name arch)
       (String.length bin.Isa.Binary.text)
       (String.length bin.Isa.Binary.data)
       (Array.length bin.Isa.Binary.functions);
@@ -180,11 +181,10 @@ let tune_cmd =
                 any other spec maintains a Pareto archive and reports the \
                 non-dominated front alongside the weighted-sum best.")
   in
-  let run bench source profile arch lz_level iterations strategy jobs db trace
+  let run bench source p arch lz_level iterations strategy jobs db trace
       prof incremental objectives =
     Compress.Lz.set_default_level lz_level;
     let _, b = load_program ~bench ~source in
-    let p = profile_of profile in
     let termination =
       { Search.default_termination with max_evaluations = iterations }
     in
@@ -197,7 +197,7 @@ let tune_cmd =
            ());
     let r =
       Parallel.Pool.with_pool j (fun pool ->
-          Bintuner.Tuner.tune ~arch:(arch_of arch) ~termination
+          Bintuner.Tuner.tune ~arch ~termination
             ~strategy:(Search.of_name strategy) ~pool ~incremental
             ~objectives ~profile:p b)
     in
@@ -322,8 +322,8 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run the tuning daemon: accept jobs (submit/run/tune/status/quit, \
-          one request per line, JSON responses) over stdin or a Unix socket, \
+         "Run the tuning daemon: accept requests (tune/status/quit, one \
+          request per line, JSON responses) over stdin or a Unix socket, \
           multiplexed onto one shared pool and cache session, optionally \
           backed by a crash-safe persistent artifact store.")
     Term.(const run $ jobs $ socket $ store_dir $ store_mb $ memo_mb $ trace
@@ -332,10 +332,8 @@ let serve_cmd =
 let diff_cmd =
   let a = Arg.(value & opt string "O3" & info [ "from" ] ~doc:"First preset.") in
   let b_ = Arg.(value & opt string "O0" & info [ "to" ] ~doc:"Second preset.") in
-  let run bench source profile arch a b_ =
+  let run bench source p arch a b_ =
     let program, _ = load_program ~bench ~source in
-    let p = profile_of profile in
-    let arch = arch_of arch in
     let ba = Toolchain.Pipeline.compile_preset p ~arch a program in
     let bb = Toolchain.Pipeline.compile_preset p ~arch b_ program in
     let d = Diffing.Binhunt.compare_binaries ba bb in
@@ -354,11 +352,9 @@ let diff_cmd =
 let ncd_cmd =
   let a = Arg.(value & opt string "O3" & info [ "from" ] ~doc:"First preset.") in
   let b_ = Arg.(value & opt string "O0" & info [ "to" ] ~doc:"Second preset.") in
-  let run bench source profile arch lz_level a b_ =
+  let run bench source p arch lz_level a b_ =
     Compress.Lz.set_default_level lz_level;
     let program, _ = load_program ~bench ~source in
-    let p = profile_of profile in
-    let arch = arch_of arch in
     let ba = Toolchain.Pipeline.compile_preset p ~arch a program in
     let bb = Toolchain.Pipeline.compile_preset p ~arch b_ program in
     Printf.printf "NCD(raw bytes)      = %.3f\n" (Bintuner.Tuner.ncd_of_binaries ba bb);
@@ -371,10 +367,8 @@ let ncd_cmd =
           $ lz_level_arg $ a $ b_)
 
 let scan_cmd =
-  let run bench source profile arch =
+  let run bench source p arch =
     let program, _ = load_program ~bench ~source in
-    let p = profile_of profile in
-    let arch = arch_of arch in
     let reference = Toolchain.Pipeline.compile_preset p ~arch "O2" program in
     let goodware =
       List.map
@@ -581,10 +575,14 @@ let inspect_cmd =
   let preset =
     Arg.(value & opt string "O2" & info [ "preset" ] ~doc:"O0|O1|O2|O3|Os.")
   in
-  let arch =
-    Arg.(value & opt string "x86-64"
-         & info [ "arch" ]
-             ~doc:"Target: x86-64 | x86-32 | arm | mips | all.")
+  let archs =
+    Term.(
+      const (function
+        | "all" -> [ Isa.Insn.X86_64; Isa.Insn.X86_32; Isa.Insn.Arm; Isa.Insn.Mips ]
+        | a -> [ arch_of a ])
+      $ Arg.(value & opt string "x86-64"
+             & info [ "arch" ]
+                 ~doc:"Target: x86-64 | x86-32 | arm | mips | all."))
   in
   let all =
     Arg.(value & flag
@@ -603,13 +601,7 @@ let inspect_cmd =
          & info [ "gadget-k" ]
              ~doc:"Maximum instructions per gadget in the census.")
   in
-  let run bench source profile arch preset all json gadget_k =
-    let p = profile_of profile in
-    let archs =
-      match arch with
-      | "all" -> [ Isa.Insn.X86_64; Isa.Insn.X86_32; Isa.Insn.Arm; Isa.Insn.Mips ]
-      | a -> [ arch_of a ]
-    in
+  let run bench source p archs preset all json gadget_k =
     let benches =
       if all then List.map (fun b -> (Corpus.program b, b)) Corpus.all
       else [ load_program ~bench ~source ]
@@ -661,7 +653,7 @@ let inspect_cmd =
           the compiler's true instruction boundaries), gadget census, \
           call-graph reachability, stack-depth bounds and provenance \
           features.  Exits nonzero on any disassembly mismatch.")
-    Term.(const run $ bench_arg $ source_arg $ profile_arg $ arch $ preset
+    Term.(const run $ bench_arg $ source_arg $ profile_arg $ archs $ preset
           $ all $ json $ gadget_k)
 
 (* The optimizer-pass smoke gate: compile the whole corpus per profile at

@@ -3,30 +3,29 @@
    A long-running process accepts tuning jobs over a line protocol —
    one request per line, one single-line JSON object per response — and
    multiplexes them onto one shared [Session]: one worker pool, one
-   compile memo, one size cache per compression level, one incremental
-   snapshot store, and (when configured) one persistent on-disk [Store].
-   The second job over a corpus starts with the first job's artifacts
-   warm; with a store, so does the first job after a restart.
+   compile memo, one size cache, one incremental snapshot store, and
+   (when configured) one persistent on-disk [Store].  The second job
+   over a corpus starts with the first job's artifacts warm; with a
+   store, so does the first job after a restart.
 
    Requests:
 
-     submit k=v ...    enqueue a job; replies with its id + queue depth
-     run               drain the queue, one response line per job
-     tune k=v ...      submit + run one job
-     status            queue depth, completed-job stats, cache counters
+     tune k=v ...      run one job; replies with its summary
+     status            completed-job count, cache counters
      quit              stop the daemon
 
    Job parameters (all optional): bench=<corpus name> profile=gcc|llvm
    arch=x86-64|x86-32|arm|mips strategy=<registry name> budget=<max
-   evaluations> lz-level=<level> seed=<int>
-   objective=<axes, e.g. ncd,gadgets:0.5>.  Blank lines and #-comments
-   are ignored.
+   evaluations> seed=<int> objective=<axes, e.g. ncd,gadgets:0.5>.
+   Blank lines and #-comments are ignored.
 
-   Jobs run sequentially on the daemon thread (the pool parallelizes
-   inside a job); [handle_line] is the whole protocol, so tests drive a
-   server in-process without sockets, and one transport loop over it
-   backs both the stdin/stdout mode (CI smoke) and the Unix-socket
-   accept loop.  Responses are built as [Util.Json] values. *)
+   Jobs run one at a time on the daemon thread (the pool parallelizes
+   inside a job), and the daemon keeps nothing per job beyond a count:
+   a job's summary is its response, so [status] has a fixed size
+   however many jobs were served.  [handle_line] is the whole protocol,
+   so tests drive a server in-process without sockets, and one transport
+   loop over it backs both the stdin/stdout mode (CI smoke) and the
+   Unix-socket accept loop.  Responses are built as [Util.Json] values. *)
 
 type job = {
   id : int;
@@ -35,34 +34,25 @@ type job = {
   arch : Isa.Insn.arch;
   strategy : string;
   budget : int;
-  lz_level : Compress.Lz.level;
   seed : int;
   objective : Search.Objective.spec;
 }
 
-(* one completed job; the iteration database is dropped, since the
-   daemon keeps every summary for [status] *)
-type job_summary = { job_id : int; result : Tuner.result }
-
 type t = {
   session : Session.t;
-  queue : job Queue.t;
   mutable next_id : int;
-  mutable completed : job_summary list;  (* newest first *)
+  mutable completed : int;
 }
 
 let create ?(jobs = 1) ?store_dir ?store_max_bytes ?memo_max_bytes () =
   let store = Option.map (Store.create ?max_bytes:store_max_bytes) store_dir in
   {
     session = Session.create ~jobs ?memo_max_bytes ?store ();
-    queue = Queue.create ();
     next_id = 1;
-    completed = [];
+    completed = 0;
   }
 
 let session t = t.session
-let completed t = List.rev t.completed
-let queue_depth t = Queue.length t.queue
 
 let close t = Session.close t.session
 
@@ -72,32 +62,12 @@ let error_response msg = Util.Json.(Obj [ ("ok", Bool false); ("error", Str msg)
 (* Job parsing                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let profile_of_string name =
-  List.find_opt
-    (fun p -> p.Toolchain.Flags.profile_name = name)
-    Toolchain.Flags.profiles
-  |> function
-  | Some p -> Ok p
-  | None -> (
-    (* accept the CLI's short names too *)
-    match name with
-    | "gcc" -> Ok Toolchain.Flags.gcc
-    | "llvm" -> Ok Toolchain.Flags.llvm
-    | _ -> Error ("unknown profile " ^ name))
-
-let arch_of_string name =
-  let archs = [ Isa.Insn.X86_64; Isa.Insn.X86_32; Isa.Insn.Arm; Isa.Insn.Mips ] in
-  match List.find_opt (fun a -> Isa.Insn.arch_name a = name) archs with
-  | Some a -> Ok a
-  | None -> Error ("unknown arch " ^ name)
-
 let parse_job t tokens =
   let bench = ref "462.libquantum" in
   let profile = ref "gcc" in
   let arch = ref "x86-64" in
   let strategy = ref "ga" in
   let budget = ref 500 in
-  let lz_level = ref None in
   let seed = ref 1 in
   let objective = ref Search.Objective.default in
   let bad = ref None in
@@ -120,10 +90,6 @@ let parse_job t tokens =
         | "strategy" -> strategy := v
         | "budget" | "iterations" -> int_param budget
         | "seed" -> int_param seed
-        | "lz-level" | "lz_level" -> (
-          match Compress.Lz.level_of_string v with
-          | l -> lz_level := Some l
-          | exception Invalid_argument m -> bad := Some m)
         | "objective" | "objectives" -> (
           match Search.Objective.parse v with
           | spec -> objective := spec
@@ -136,12 +102,12 @@ let parse_job t tokens =
     match Corpus.find !bench with
     | exception Not_found -> Error ("unknown benchmark " ^ !bench)
     | bench -> (
-      match profile_of_string !profile with
-      | Error e -> Error e
-      | Ok profile -> (
-        match arch_of_string !arch with
-        | Error e -> Error e
-        | Ok arch ->
+      match Toolchain.Flags.find !profile with
+      | exception Not_found -> Error ("unknown profile " ^ !profile)
+      | profile -> (
+        match Isa.Insn.arch_of_name !arch with
+        | exception Not_found -> Error ("unknown arch " ^ !arch)
+        | arch ->
           if not (List.mem !strategy Search.all_names) then
             Error ("unknown strategy " ^ !strategy)
           else begin
@@ -155,10 +121,6 @@ let parse_job t tokens =
                 arch;
                 strategy = !strategy;
                 budget = max 1 !budget;
-                lz_level =
-                  (match !lz_level with
-                  | Some l -> l
-                  | None -> Compress.Lz.default_level ());
                 seed = !seed;
                 objective = !objective;
               }
@@ -171,13 +133,13 @@ let parse_job t tokens =
 let counters_json counters =
   Util.Json.Obj (List.map (fun (k, n) -> (k, Util.Json.Int n)) counters)
 
-let summary_fields { job_id; result = r } =
+let summary_fields id (r : Tuner.result) =
   let open Util.Json in
   let floats vs = List (Array.to_list (Array.map (fun v -> Float v) vs)) in
   let vector v = Str (Database.vector_to_string v) in
   [
-    ("job", Int job_id);
-    ("benchmark", Str r.Tuner.benchmark);
+    ("job", Int id);
+    ("benchmark", Str r.benchmark);
     ("profile", Str r.profile_name);
     ("arch", Str (Isa.Insn.arch_name r.arch));
     ("strategy", Str r.strategy);
@@ -198,7 +160,6 @@ let summary_fields { job_id; result = r } =
   ]
 
 let run_job t (j : job) =
-  Telemetry.set_gauge "serve.queue_depth" (float_of_int (Queue.length t.queue));
   match
     (* every span a job records on the daemon thread carries its id *)
     Telemetry.with_ambient_attrs
@@ -217,27 +178,17 @@ let run_job t (j : job) =
                 { Search.default_termination with max_evaluations = j.budget }
               ~seed:j.seed
               ~strategy:(Search.of_name j.strategy)
-              ~session:t.session ~lz_level:j.lz_level ~objectives:j.objective
-              ~profile:j.profile j.bench))
+              ~session:t.session ~objectives:j.objective ~profile:j.profile
+              j.bench))
   with
   | exception e ->
     Telemetry.add_count "serve.job_failed";
     error_response
       (Printf.sprintf "job %d failed: %s" j.id (Printexc.to_string e))
   | r ->
-    let s = { job_id = j.id; result = { r with database = [] } } in
-    t.completed <- s :: t.completed;
+    t.completed <- t.completed + 1;
     Telemetry.add_count "serve.job_done";
-    Util.Json.Obj (("ok", Util.Json.Bool true) :: summary_fields s)
-
-let drain t =
-  let responses = ref [] in
-  while not (Queue.is_empty t.queue) do
-    let j = Queue.pop t.queue in
-    responses := run_job t j :: !responses
-  done;
-  Telemetry.set_gauge "serve.queue_depth" 0.0;
-  List.rev !responses
+    Util.Json.Obj (("ok", Util.Json.Bool true) :: summary_fields j.id r)
 
 (* ------------------------------------------------------------------ *)
 (* Status                                                              *)
@@ -249,14 +200,7 @@ let status_response t =
   Obj
     [
       ("ok", Bool true);
-      ("queued", Int (Queue.length t.queue));
-      ( "queue",
-        List
-          (List.map
-             (fun j -> Obj [ ("job", Int j.id); ("benchmark", Str j.bench.bname) ])
-             (List.of_seq (Queue.to_seq t.queue))) );
-      ("completed", Int (List.length t.completed));
-      ("jobs", List (List.rev_map (fun s -> Obj (summary_fields s)) t.completed));
+      ("completed", Int t.completed);
       ("counters", counters_json (Session.counters t.session));
       ("memo", Obj [ ("entries", Int (Memo.length memo)); ("bytes", Int (Memo.bytes memo)) ]);
       ( "store",
@@ -287,29 +231,10 @@ let handle_line t line =
     | verb :: _ when String.length verb > 0 && verb.[0] = '#' -> ([], true)
     | "quit" :: _ -> ([ Obj [ ("ok", Bool true); ("bye", Str "bintuner") ] ], false)
     | "status" :: _ -> ([ status_response t ], true)
-    | "submit" :: params -> (
-      match parse_job t params with
-      | Error msg -> ([ error_response msg ], true)
-      | Ok j ->
-        Queue.push j t.queue;
-        Telemetry.set_gauge "serve.queue_depth"
-          (float_of_int (Queue.length t.queue));
-        ( [
-            Obj
-              [
-                ("ok", Bool true);
-                ("job", Int j.id);
-                ("queued", Int (Queue.length t.queue));
-              ];
-          ],
-          true ))
-    | "run" :: _ -> (drain t, true)
     | "tune" :: params -> (
       match parse_job t params with
       | Error msg -> ([ error_response msg ], true)
-      | Ok j ->
-        Queue.push j t.queue;
-        (drain t, true))
+      | Ok j -> ([ run_job t j ], true))
     | verb :: _ -> ([ error_response ("unknown request " ^ verb) ], true)
   in
   (List.map to_string responses, keep_going)

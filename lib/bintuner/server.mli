@@ -7,28 +7,23 @@
     binaries, compressed sizes and pass-prefix snapshots — and, with a
     persistent {!Store} attached, so do jobs after a daemon restart.
 
-    Requests: [submit k=v ...] (enqueue), [run] (drain the queue),
-    [tune k=v ...] (submit + run), [status], [quit].  Job parameters:
-    [bench], [profile], [arch], [strategy], [budget] (max evaluations),
-    [lz-level], [seed], [objective] ({!Search.Objective.parse} grammar,
-    e.g. [objective=ncd,gadgets:0.5]) — all optional.  Blank lines and
-    [#] comments are ignored; malformed requests get an
+    Requests: [tune k=v ...] (run one job), [status], [quit].  Job
+    parameters: [bench], [profile], [arch], [strategy], [budget] (max
+    evaluations), [seed], [objective] ({!Search.Objective.parse}
+    grammar, e.g. [objective=ncd,gadgets:0.5]) — all optional.  Blank
+    lines and [#] comments are ignored; malformed requests get an
     [{"ok":false,...}] response and never kill the daemon.
 
-    Jobs run sequentially on the daemon thread (parallelism lives inside
-    each job, on the session's pool); every job runs under a
+    Jobs run one at a time on the daemon thread (parallelism lives
+    inside each job, on the session's pool); every job runs under a
     [serve.job] telemetry span whose ambient [job] attribute tags the
-    spans it records.  {!handle_line} is the entire protocol, so tests
-    drive a daemon in-process; {!serve_channel} (stdin/stdout, the CI
-    smoke mode) and {!serve_unix} (Unix socket) are thin transports over
-    it. *)
+    spans it records.  The daemon keeps no per-job state beyond a count
+    of completed jobs: a job's summary is its response.  {!handle_line}
+    is the entire protocol, so tests drive a daemon in-process;
+    {!serve_channel} (stdin/stdout, the CI smoke mode) and
+    {!serve_unix} (Unix socket) are thin transports over it. *)
 
 type t
-
-type job_summary = { job_id : int; result : Tuner.result }
-(** One completed job: its {!Tuner.result}, per-job [counters] deltas
-    included (read them with {!Tuner.counter}), minus the iteration
-    database, which a long-lived daemon does not keep. *)
 
 val create :
   ?jobs:int ->
@@ -44,11 +39,6 @@ val create :
 
 val session : t -> Session.t
 
-val completed : t -> job_summary list
-(** Completed jobs, oldest first. *)
-
-val queue_depth : t -> int
-
 val handle_line : t -> string -> string list * bool
 (** Process one request line; returns the response lines (each a
     complete single-line JSON object, rendered by {!Util.Json}) and
@@ -56,11 +46,11 @@ val handle_line : t -> string -> string list * bool
 
     A job response is [{"ok":true,"job",...,"functional_ok",
     "wall_seconds","counters":{...}}], [counters] being the job's
-    {!Tuner.result} counters.  A [status] response carries [queued],
-    [queue], [completed], [jobs] (every completed job's summary),
-    [counters] ({!Session.counters}, session totals), [memo]
-    ([entries], [bytes]), [store] ([false], or [entries], [bytes],
-    [max_bytes]) and [live_domains]. *)
+    {!Tuner.result} counters.  A [status] response carries [completed]
+    (the number of jobs served), [counters] ({!Session.counters},
+    session totals), [memo] ([entries], [bytes]), [store] ([false], or
+    [entries], [bytes], [max_bytes]) and [live_domains] — a fixed set
+    of keys, whatever the number of jobs served. *)
 
 val serve_channel : t -> in_channel -> out_channel -> unit
 (** Serve requests from a channel pair until [quit] or EOF, flushing

@@ -67,7 +67,7 @@ let functional_check bench bin0 bin =
 
 let tune ?(arch = Isa.Insn.X86_64) ?(termination = Search.default_termination)
     ?(seed = 1) ?(strategy = Search.Genetic.strategy ()) ?pool ?session
-    ?(incremental = true) ?lz_level ?(objectives = Search.Objective.default)
+    ?(incremental = true) ?(objectives = Search.Objective.default)
     ~(profile : Toolchain.Flags.profile) (bench : Corpus.benchmark) =
   let t0 = Unix.gettimeofday () in
   if objectives = [] then invalid_arg "Tuner.tune: empty objective spec";
@@ -106,10 +106,7 @@ let tune ?(arch = Isa.Insn.X86_64) ?(termination = Search.default_termination)
      guaranteed hit instead of a race of misses, and candidates the
      search revisits hit instead of re-compressing.  With a persistent
      store attached to the session it is durable too. *)
-  let lz_level =
-    match lz_level with Some l -> l | None -> Compress.Lz.default_level ()
-  in
-  let ncd_cache = Session.sizecache session lz_level in
+  let ncd_cache = Session.sizecache session (Compress.Lz.default_level ()) in
   ignore (Compress.Sizecache.size ncd_cache baseline_stream : int);
   let ncd bin =
     let stream = code_stream bin in

@@ -94,7 +94,6 @@ val tune :
   ?pool:Parallel.Pool.t ->
   ?session:Session.t ->
   ?incremental:bool ->
-  ?lz_level:Compress.Lz.level ->
   ?objectives:Search.Objective.spec ->
   profile:Toolchain.Flags.profile ->
   Corpus.benchmark ->
@@ -134,10 +133,9 @@ val tune :
     session's; a session created with [~memo_max_bytes:0] runs every
     compile request through the pipeline.
 
-    [lz_level] fixes the compression level of the fitness's size cache
-    (default {!Compress.Lz.default_level}) — serving mode routes the
-    per-job [lz-level] parameter here rather than mutating the
-    process-wide default.
+    The fitness compresses at {!Compress.Lz.default_level}, read once
+    per call: the CLI and bench driver's [--lz-level] set it before
+    tuning, and a session keeps one size cache per level.
 
     [objectives] selects the fitness axes and their scalarization
     weights ({!Search.Objective.parse} grammar: ["ncd,gadgets:0.5"]).

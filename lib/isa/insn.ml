@@ -20,6 +20,9 @@ let arch_name = function
 
 let all_arches = [ X86_32; X86_64; Arm; Mips ]
 
+(* the inverse of [arch_name]; raises [Not_found] *)
+let arch_of_name name = List.find (fun a -> arch_name a = name) all_arches
+
 (* General registers available to the allocator per architecture; the VM
    always has 16.  R13 = SP, R12 = FP by convention. *)
 let register_count = function

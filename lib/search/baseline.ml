@@ -3,7 +3,8 @@
    batch size with random genomes), every later one is a fresh batch of
    random repaired genomes.  Scores are ignored — that is the point. *)
 
-let random ?(batch = 16) () : Strategy.t =
+let random () : Strategy.t =
+  let batch = 16 in
   (module struct
     let name = "random"
 

@@ -32,10 +32,8 @@ let make_arm (module S : Strategy.STRATEGY) ~rng ~problem ~termination =
     uses = 0;
   }
 
-let default_subs () =
-  [ Genetic.strategy (); Local.hill_climb (); Local.anneal (); Baseline.random () ]
-
-let strategy ?(window = 50) ?(exploration = 0.5) ?subs () : Strategy.t =
+let strategy () : Strategy.t =
+  let window = 50 and exploration = 0.5 in
   (module struct
     let name = "ensemble"
 
@@ -50,12 +48,16 @@ let strategy ?(window = 50) ?(exploration = 0.5) ?subs () : Strategy.t =
     }
 
     let init ~rng ~problem ~termination =
-      let subs = match subs with Some s -> s | None -> default_subs () in
       let arms =
-        Array.of_list
-          (List.map (fun s -> make_arm s ~rng ~problem ~termination) subs)
+        Array.map
+          (fun s -> make_arm s ~rng ~problem ~termination)
+          [|
+            Genetic.strategy ();
+            Local.hill_climb ();
+            Local.anneal ();
+            Baseline.random ();
+          |]
       in
-      if Array.length arms = 0 then invalid_arg "Ensemble: no sub-strategies";
       {
         arms;
         results = [];

@@ -78,7 +78,8 @@ let hill_climb () : Strategy.t =
    current point (1–2 bit flips each); tell replays the Metropolis
    acceptance sequentially over the batch in proposal order, with the
    temperature driven by evaluation progress against the budget. *)
-let anneal ?(batch = 8) ?(t0 = 0.08) ?(t_end = 0.002) () : Strategy.t =
+let anneal () : Strategy.t =
+  let batch = 8 and t0 = 0.08 and t_end = 0.002 in
   (module struct
     let name = "anneal"
 

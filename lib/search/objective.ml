@@ -120,11 +120,10 @@ let scalarize spec =
 
 (* --- per-axis memos ------------------------------------------------- *)
 
-(* A content-addressed [Util.Lru] per axis, bounded to [capacity]
-   entries; axis evaluation is deterministic, so keep-first on a racing
-   duplicate is exact. *)
-let memo capacity =
-  Util.Lru.create ~telemetry:"objective.memo" ~budget:(max 1 capacity) ()
+(* A content-addressed [Util.Lru] per axis, bounded to 512 entries;
+   axis evaluation is deterministic, so keep-first on a racing duplicate
+   is exact. *)
+let memo () = Util.Lru.create ~telemetry:"objective.memo" ~budget:512 ()
 
 let digest (bin : Isa.Binary.t) =
   Digest.string bin.Isa.Binary.text ^ Digest.string bin.Isa.Binary.data
@@ -140,17 +139,14 @@ type evaluator = {
       (** digest -> (gadgets, size): both static axes off one inspect *)
 }
 
-let default_capacity = 512
-
-let evaluator ?(gadget_k = Binsight.Gadgets.default_k)
-    ?(capacity = default_capacity) ?ncd ?evasion spec =
+let evaluator ?ncd ?evasion spec =
   if spec = [] then invalid_arg "Objective.evaluator: empty spec";
-  let inspect_memo = memo capacity in
+  let inspect_memo = memo () in
   let statics bin =
     Util.Lru.find_or_add inspect_memo (digest bin) (fun () ->
         let r =
           Telemetry.with_span "objective.inspect" (fun () ->
-              Binsight.Report.inspect ~gadget_k bin)
+              Binsight.Report.inspect bin)
         in
         let census = r.Binsight.Report.r_gadgets in
         ( -.float_of_int (List.length census.Binsight.Gadgets.c_unique),
@@ -173,11 +169,11 @@ let evaluator ?(gadget_k = Binsight.Gadgets.default_k)
     | Gadgets -> fun bin -> fst (statics bin)
     | Size -> fun bin -> snd (statics bin)
     | Ncd ->
-      let memo = memo capacity in
+      let memo = memo () in
       memos := ("ncd", memo) :: !memos;
       injected "ncd" ncd memo
     | Evasion ->
-      let memo = memo capacity in
+      let memo = memo () in
       memos := ("evasion", memo) :: !memos;
       injected "evasion" evasion memo
   in

@@ -179,19 +179,18 @@ module Objective : sig
   type evaluator
 
   val evaluator :
-    ?gadget_k:int ->
-    ?capacity:int ->
     ?ncd:(Isa.Binary.t -> float) ->
     ?evasion:(Isa.Binary.t -> float) ->
     spec ->
     evaluator
   (** Build the per-axis evaluation pipeline for a spec.  [gadgets] and
       [size] are computed from one shared [Report.inspect] per distinct
-      binary, memoized content-addressed ([capacity]-bounded LRU, like
-      [Compress.Sizecache]); [ncd] and [evasion] must be injected (they
-      depend on caller state — a baseline binary, a trained classifier)
-      and get their own per-axis memos.  @raise Invalid_argument if the
-      spec names an injected axis without its hook. *)
+      binary at the default gadget length, memoized content-addressed (a
+      512-entry LRU, like [Compress.Sizecache]); [ncd] and [evasion] must
+      be injected (they depend on caller state — a baseline binary, a
+      trained classifier) and get their own per-axis memos.
+      @raise Invalid_argument if the spec names an injected axis without
+      its hook. *)
 
   val evaluate : evaluator -> Isa.Binary.t -> float array
   (** The fitness vector of one binary, in spec order. *)
@@ -251,28 +250,23 @@ end
 
 (** Batched local search: steepest-ascent hill climbing with random
     restarts (each ask is the full single-bit-flip neighbourhood) and
-    simulated annealing (each ask is [batch] proposals from the current
+    simulated annealing (each ask is 8 proposals from the current
     point; Metropolis acceptance replayed in proposal order over a
     geometric temperature schedule driven by budget progress). *)
 module Local : sig
   val hill_climb : unit -> strategy
-  val anneal : ?batch:int -> ?t0:float -> ?t_end:float -> unit -> strategy
+  val anneal : unit -> strategy
 end
 
 (** Random search — the control baseline. *)
 module Baseline : sig
-  val random : ?batch:int -> unit -> strategy
+  val random : unit -> strategy
 end
 
 (** OpenTuner-style AUC-bandit meta-strategy: allocates each
     generation's batch to one sub-strategy by sliding-window
-    improvement credit plus a UCB exploration bonus.  Default subs:
-    ga, hill, anneal, random. *)
+    improvement credit plus a UCB exploration bonus.  Subs: ga, hill,
+    anneal, random. *)
 module Ensemble : sig
-  val strategy :
-    ?window:int ->
-    ?exploration:float ->
-    ?subs:strategy list ->
-    unit ->
-    strategy
+  val strategy : unit -> strategy
 end

@@ -381,7 +381,10 @@ let llvm =
 
 let profiles = [ gcc; llvm ]
 
-let find name = List.find (fun p -> p.profile_name = name) profiles
+let find = function
+  | "gcc" -> gcc
+  | "llvm" -> llvm
+  | name -> List.find (fun p -> p.profile_name = name) profiles
 
 let flag_index p name =
   let found = ref (-1) in

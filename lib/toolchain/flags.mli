@@ -39,7 +39,8 @@ val llvm : profile
 val profiles : profile list
 
 val find : string -> profile
-(** Look up by name ("gcc-10.2" / "llvm-11.0").  Raises [Not_found]. *)
+(** Look up by full name ("gcc-10.2" / "llvm-11.0") or short name
+    ("gcc" / "llvm").  Raises [Not_found]. *)
 
 val flag_index : profile -> string -> int
 (** Index of a named flag.  Raises [Not_found]. *)
