@@ -112,17 +112,15 @@ let pretune ?(arch = Isa.Insn.X86_64) jobs =
 let preset_binary ?(arch = Isa.Insn.X86_64) profile name bench =
   Toolchain.Pipeline.compile_preset profile ~arch name (Corpus.program bench)
 
-let binhunt_cache : (string * string, float) Hashtbl.t = Hashtbl.create 256
+(* BinHunt scores by the pair's whole-binary digests, as the tuner's
+   final-selection cache keys them; bounded by entry count *)
+let binhunt_cache : (string * string, float) Util.Lru.t =
+  Util.Lru.create ~budget:4096 ()
 
 let binhunt a b =
-  let key = (a.Isa.Binary.text, b.Isa.Binary.text) in
-  let skey = (Digest.string (fst key), Digest.string (snd key)) in
-  match Hashtbl.find_opt binhunt_cache skey with
-  | Some s -> s
-  | None ->
-    let s = Diffing.Binhunt.diff_score a b in
-    Hashtbl.replace binhunt_cache skey s;
-    s
+  let key = Bintuner.Tuner.(content_digest a, content_digest b) in
+  Util.Lru.find_or_add binhunt_cache key (fun () ->
+      Diffing.Binhunt.diff_score a b)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 5: BinHunt difference scores under both profiles             *)

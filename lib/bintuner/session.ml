@@ -13,7 +13,19 @@
    pipeline's program-digest cache seed — and every cached value is a
    pure function of its key.  A cross-job hit is therefore bit-identical
    to a recompute, which is what lets the serve differential test pin
-   warm-session results to cold one-shot ones. *)
+   warm-session results to cold one-shot ones.
+
+   The final-selection cache follows the same rule: its keys are MD5
+   digests of whole marshalled binaries (and of the workload inputs), and
+   its values — O0 reference outputs, functional verdicts, BinHunt
+   scores — are pure functions of those contents. *)
+
+type final =
+  | Reference of (Vir.Interp.output_item list * int) list
+  | Verdict of bool
+  | Diff_score of float
+
+type check = (string, final) Util.Lru.t
 
 type t = {
   pool : Parallel.Pool.t;
@@ -24,8 +36,13 @@ type t = {
   (* one size cache per compression level, created on first use; keyed
      by [Lz.level_name] *)
   sizecaches : (string, Compress.Sizecache.t) Hashtbl.t;
+  check : check;
   lock : Mutex.t;
 }
+
+(* entries, not bytes: a reference is a few output lists, a verdict or
+   score one word *)
+let check_entries = 4096
 
 let create ?(jobs = 1) ?pool ?memo_max_bytes ?store () =
   let owned_pool, pool =
@@ -40,6 +57,7 @@ let create ?(jobs = 1) ?pool ?memo_max_bytes ?store () =
     incremental = Incremental.create ();
     store;
     sizecaches = Hashtbl.create 4;
+    check = Util.Lru.create ~telemetry:"check" ~budget:check_entries ();
     lock = Mutex.create ();
   }
 
@@ -47,6 +65,7 @@ let pool t = t.pool
 let memo t = t.memo
 let incremental t = t.incremental
 let store t = t.store
+let check t = t.check
 
 (* Level-segregated size caches: sizes measured at different match-finder
    levels are different numbers, so each level gets its own table and its
@@ -75,6 +94,13 @@ let sizecache t level =
   Mutex.unlock t.lock;
   cache
 
+let check_counters c =
+  [
+    ("check.hit", Util.Lru.hits c);
+    ("check.miss", Util.Lru.misses c);
+    ("check.evict", Util.Lru.evictions c);
+  ]
+
 (* Every cache counter the session owns, under the telemetry names, in a
    fixed order; the size caches are summed over levels and the store's
    counters read 0 without a store. *)
@@ -93,6 +119,9 @@ let counters t =
     ("incr.hit", Incremental.hits t.incremental);
     ("incr.miss", Incremental.misses t.incremental);
     ("incr.evict", Incremental.evictions t.incremental);
+  ]
+  @ check_counters t.check
+  @ [
     ("store.hit", store Store.hits);
     ("store.miss", store Store.misses);
     ("store.evict", store Store.evictions);

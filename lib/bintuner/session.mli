@@ -4,9 +4,10 @@
     Every {!Tuner.tune} call runs on a session: a one-shot call creates a
     throwaway one and closes it on return; passing a long-lived session
     instead makes every job read and write the same {!Memo},
-    {!Compress.Sizecache} and {!Incremental} instances, so jobs over the
-    same corpus hit each other's compiled binaries, compressed sizes and
-    pass-prefix snapshots.  Optionally backed by a persistent {!Store},
+    {!Compress.Sizecache}, {!Incremental} and final-selection ({!check})
+    instances, so jobs over the same corpus hit each other's compiled
+    binaries, compressed sizes, pass-prefix snapshots, functional
+    verdicts and BinHunt scores.  Optionally backed by a persistent {!Store},
     which also survives daemon restarts.
 
     Sharing is lossless: every constituent cache is keyed on full content
@@ -40,6 +41,29 @@ val memo : t -> Memo.t
 val incremental : t -> Incremental.t
 val store : t -> Store.t option
 
+(** A final-selection result, cached under a key that names its kind. *)
+type final =
+  | Reference of (Vir.Interp.output_item list * int) list
+      (** the O0 baseline's [(output, return value)] on each workload
+          input, in workload order *)
+  | Verdict of bool  (** a candidate's functional verdict *)
+  | Diff_score of float  (** a {!Diffing.Binhunt.diff_score} *)
+
+type check = (string, final) Util.Lru.t
+
+val check : t -> check
+(** The session's final-selection cache: one {!Util.Lru} bounded by
+    entry count (4096), keyed by MD5 digests of whole marshalled binaries
+    and of the workload inputs, through which {!Tuner.tune} reads every
+    O0 reference output, functional verdict and BinHunt score.  A warm job over already-checked bytes runs neither
+    the VM nor BinHunt.  Errors are never cached: a trapping run raises
+    and adds nothing.  Its traffic is counted as [check.hit],
+    [check.miss] and [check.evict]. *)
+
+val check_counters : check -> (string * int) list
+(** [check.hit], [check.miss], [check.evict] of one final-selection
+    cache — the entries {!counters} reports for {!check}. *)
+
 val sizecache : t -> Compress.Lz.level -> Compress.Sizecache.t
 (** The session's size cache for one compression level, created on first
     use — levels measure different sizes, so each gets its own table and
@@ -49,7 +73,8 @@ val counters : t -> (string * int) list
 (** Every cache counter the session owns, always the same names in the
     same order: [memo.hit], [memo.miss], [memo.evict]; [sizecache.hit]
     and [sizecache.miss], summed over every level's size cache;
-    [incr.hit], [incr.miss], [incr.evict]; [store.hit], [store.miss],
+    [incr.hit], [incr.miss], [incr.evict]; [check.hit], [check.miss],
+    [check.evict] ({!check_counters}); [store.hit], [store.miss],
     [store.evict], [store.quarantine] (all 0 without a store).  The names
     are the ones telemetry counts under.  The daemon's [status] reports
     this list; {!Tuner.result} reports its per-call delta. *)

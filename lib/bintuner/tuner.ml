@@ -56,14 +56,62 @@ let flags_enabled (p : Toolchain.Flags.profile) vector =
     vector;
   List.rev !names
 
-let functional_check bench bin0 bin =
-  List.for_all
-    (fun input ->
-      let r0 = Vm.Machine.run bin0 ~input in
-      let r = Vm.Machine.run bin ~input in
-      r0.Vm.Machine.output = r.Vm.Machine.output
-      && r0.Vm.Machine.return_value = r.Vm.Machine.return_value)
-    bench.Corpus.workloads
+(* Final-selection cache keys: MD5 over the whole marshalled value.
+   Without sharing, equal contents marshal to equal bytes.  Each domain
+   marshals into one reused buffer, grown on demand: a fresh marshalled
+   copy of every candidate binary raised tune-ga peak RSS by about 5 %. *)
+let marshal_buffer = Domain.DLS.new_key (fun () -> ref (Bytes.create 65536))
+
+let rec content_digest v =
+  let buf = Domain.DLS.get marshal_buffer in
+  match Marshal.to_buffer !buf 0 (Bytes.length !buf) v [ Marshal.No_sharing ] with
+  | n -> Digest.subbytes !buf 0 n
+  | exception Failure _ ->
+    buf := Bytes.create (2 * Bytes.length !buf);
+    content_digest v
+
+(* The key's tag fixes the kind of value stored under it. *)
+let unexpected () = invalid_arg "Tuner: final-selection cache kind mismatch"
+
+(* A candidate passes when it matches the O0 baseline's output stream and
+   exit value on every workload input.  The baseline's outputs are
+   computed once per (baseline, inputs) pair and each verdict once per
+   (baseline, candidate, inputs) triple; the inputs digest is in every
+   key, since two programs can compile to equal O0 bytes yet ship
+   different workloads.  A trapping or non-terminating run raises out of
+   [Util.Lru.find_or_add], which then caches nothing. *)
+let functional_checker (check : Session.check) (bench : Corpus.benchmark)
+    ~baseline ~baseline_digest =
+  let base = baseline_digest ^ content_digest bench.workloads in
+  let reference () =
+    match
+      Util.Lru.find_or_add check ("ref|" ^ base) (fun () ->
+          Session.Reference
+            (List.map
+               (fun input ->
+                 let r = Vm.Machine.run baseline ~input in
+                 (r.Vm.Machine.output, r.return_value))
+               bench.workloads))
+    with
+    | Session.Reference outs -> outs
+    | _ -> unexpected ()
+  in
+  fun bin ->
+    match
+      Util.Lru.find_or_add check ("ok|" ^ base ^ content_digest bin) (fun () ->
+          Session.Verdict
+            (List.for_all2
+               (fun input (output, return_value) ->
+                 let r = Vm.Machine.run bin ~input in
+                 r.Vm.Machine.output = output && r.return_value = return_value)
+               bench.workloads (reference ())))
+    with
+    | Session.Verdict ok -> ok
+    | _ -> unexpected ()
+
+let functional_check session bench ~baseline bin =
+  functional_checker (Session.check session) bench ~baseline
+    ~baseline_digest:(content_digest baseline) bin
 
 let tune ?(arch = Isa.Insn.X86_64) ?(termination = Search.default_termination)
     ?(seed = 1) ?(strategy = Search.Genetic.strategy ()) ?pool ?session
@@ -77,7 +125,9 @@ let tune ?(arch = Isa.Insn.X86_64) ?(termination = Search.default_termination)
   let session =
     if throwaway then Session.create ?pool () else Option.get session
   in
-  let result, baseline =
+  (* search and final selection on the session; what is left, the
+     functional check, comes back as a closure to run after the close *)
+  let finish =
     Fun.protect ~finally:(fun () -> if throwaway then Session.close session)
     @@ fun () ->
   let pool = Option.value pool ~default:(Session.pool session) in
@@ -100,6 +150,8 @@ let tune ?(arch = Isa.Insn.X86_64) ?(termination = Search.default_termination)
   in
   let baseline = Toolchain.Pipeline.compile_preset profile ~arch ?snapshot "O0" ast in
   let baseline_stream = code_stream baseline in
+  let check = Session.check session in
+  let baseline_digest = content_digest baseline in
   (* every C(x) / C(x·baseline) term of this run goes through one
      content-addressed cache (one per compression level): the baseline's
      solo size is compressed once, here, so the workers' shared term is a
@@ -268,11 +320,15 @@ let tune ?(arch = Isa.Insn.X86_64) ?(termination = Search.default_termination)
         Parallel.Pool.map_list ~chunk_size:1 pool
           (fun e ->
             let bin = compile e.vector in
-            let score =
-              Telemetry.with_span "tuner.binhunt" (fun () ->
-                  Diffing.Binhunt.diff_score bin baseline)
-            in
-            (score, e.vector, bin))
+            let key = "bh|" ^ content_digest bin ^ baseline_digest in
+            match
+              Util.Lru.find_or_add check key (fun () ->
+                  Session.Diff_score
+                    (Telemetry.with_span "tuner.binhunt" (fun () ->
+                         Diffing.Binhunt.diff_score bin baseline)))
+            with
+            | Session.Diff_score score -> (score, e.vector, bin)
+            | _ -> unexpected ())
           cands
       in
       let best_score, v, b =
@@ -304,38 +360,53 @@ let tune ?(arch = Isa.Insn.X86_64) ?(termination = Search.default_termination)
     in
     [ ("objective.memo.hit", hits); ("objective.memo.miss", misses) ]
   in
-  ( {
-    benchmark = bench.bname;
-    profile_name = profile.profile_name;
-    strategy = Search.name strategy;
-    arch;
-    objectives = axis_names;
-    best_vector = outcome.best;
-    best_binary;
-    refined_vector;
-    refined_binary;
-    best_ncd = outcome.best_fitness;
-    best_scores = outcome.best_vector;
-    front = outcome.front;
-    preset_ncd;
-    iterations = outcome.evaluations;
-    history = outcome.history;
-    wall_seconds = 0.0;
-    functional_ok = false;
-    counters =
+  let result =
+    {
+      benchmark = bench.bname;
+      profile_name = profile.profile_name;
+      strategy = Search.name strategy;
+      arch;
+      objectives = axis_names;
+      best_vector = outcome.best;
+      best_binary;
+      refined_vector;
+      refined_binary;
+      best_ncd = outcome.best_fitness;
+      best_scores = outcome.best_vector;
+      front = outcome.front;
+      preset_ncd;
+      iterations = outcome.evaluations;
+      history = outcome.history;
+      wall_seconds = 0.0;
+      functional_ok = false;
+      counters = [];
+      database = List.rev !database;
+    }
+  in
+  let counters_at_close = Session.counters session in
+  let functional = functional_checker check bench ~baseline ~baseline_digest in
+  (* The VM check runs once the call has let go of the session: this
+     closure holds the final-selection cache but not the session, so the
+     caches of a throwaway session (tens of MB of IR snapshots) are
+     garbage by then rather than live through the check.  The counter
+     deltas are taken after it, so they include its traffic. *)
+  fun () ->
+    let functional_ok =
+      functional result.best_binary && functional result.refined_binary
+    in
+    let now = Session.check_counters check in
+    let counters =
       List.map2
-        (fun (name, n) (_, n0) -> (name, n - n0))
-        (Session.counters session) counters0
-      @ objective_counts;
-    database = List.rev !database;
-  },
-    baseline )
+        (fun (name, n) (_, n0) ->
+          let n = Option.value (List.assoc_opt name now) ~default:n in
+          (name, n - n0))
+        counters_at_close counters0
+    in
+    {
+      result with
+      functional_ok;
+      counters = counters @ objective_counts;
+      wall_seconds = Unix.gettimeofday () -. t0;
+    }
   in
-  (* The VM check needs no cache, so it runs once the call has let go of
-     the session: the caches of a throwaway session (tens of MB of IR
-     snapshots) are garbage by then rather than live through the check. *)
-  let functional_ok =
-    functional_check bench baseline result.best_binary
-    && functional_check bench baseline result.refined_binary
-  in
-  { result with functional_ok; wall_seconds = Unix.gettimeofday () -. t0 }
+  finish ()

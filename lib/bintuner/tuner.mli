@@ -47,19 +47,24 @@ type result = {
   iterations : int;  (** distinct fitness evaluations, as in Table 1 *)
   history : (int * float) list;  (** best-so-far NCD per iteration *)
   wall_seconds : float;  (** wall-clock (not CPU) duration of the run *)
-  functional_ok : bool;  (** tuned binary passes all test workloads *)
+  functional_ok : bool;
+      (** both [best_binary] and [refined_binary] pass every test
+          workload: {!functional_check} on each, through the session's
+          final-selection cache.  When the two binaries are equal the
+          second verdict is a cache hit, and a warm repeat of a job the
+          session has already checked runs no VM at all *)
   counters : (string * int) list;
       (** this call's cache traffic: the {!Session.counters} names, in
           their order, as deltas over the call (from before its O0
-          baseline compile through final selection and the preset
-          NCDs), followed by
+          baseline compile through final selection, the preset NCDs
+          and the functional check), followed by
           [objective.memo.hit] / [objective.memo.miss] summed over the
           call's {!Search.Objective} evaluator (0 on the default spec,
           which caches in the size cache instead).  [memo.hit +
           memo.miss] is the number of compile requests the run made, a
           quantity independent of memoization.  The size-cache and
-          incremental hit/miss split can depend on scheduling under
-          racing workers, so those counters are observational and left
+          incremental hit/miss split, and the [check.*] split of the
+          BinHunt scores, can depend on scheduling under racing workers, so those counters are observational and left
           out of the determinism sentinel and the j-differential. *)
   database : entry list;  (** every (vector, fitness vector) evaluated *)
 }
@@ -85,6 +90,24 @@ val code_stream : Isa.Binary.t -> string
 
 val fitness_of_binaries : Isa.Binary.t -> Isa.Binary.t -> float
 (** NCD over {!code_stream} projections — BinTuner's fitness. *)
+
+val content_digest : 'a -> Digest.t
+(** MD5 of a value marshalled without sharing, so equal contents give
+    equal digests: the final-selection cache's key for a whole binary or
+    a workload list. *)
+
+val functional_check :
+  Session.t -> Corpus.benchmark -> baseline:Isa.Binary.t -> Isa.Binary.t -> bool
+(** [functional_check session bench ~baseline bin] — whether [bin]
+    produces the same output stream and exit value as the O0 [baseline]
+    on every one of [bench]'s workload inputs in the VM.  Read through
+    {!Session.check}: the baseline's outputs are computed once per
+    (baseline, inputs) digest pair and the verdict once per (baseline,
+    candidate, inputs) triple, so a repeat call runs no VM.  Equal to
+    the direct [List.for_all] over the workloads.  A trapping or
+    non-terminating run raises {!Vm.Machine.Trap} or
+    {!Vm.Machine.Out_of_fuel}, on every call: errors are never
+    cached. *)
 
 val tune :
   ?arch:Isa.Insn.arch ->

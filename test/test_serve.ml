@@ -308,6 +308,25 @@ let test_serve_cross_job_sharing () =
             (str_of (field j1 "best_vector"))
             (str_of (field j2 "best_vector"))))
 
+(* A warm repeat on one daemon is served its functional verdicts and
+   BinHunt scores from the session's final-selection cache: it runs
+   neither the VM nor BinHunt, and its result is job 1's. *)
+let test_serve_warm_repeat_checks_nothing () =
+  let srv = Bintuner.Server.create () in
+  Fun.protect
+    ~finally:(fun () -> Bintuner.Server.close srv)
+    (fun () ->
+      let j1 = run_job srv job_line in
+      let j2 = run_job srv job_line in
+      Alcotest.(check bool) "job 1 checked" true (counter j1 "check.miss" > 0);
+      Alcotest.(check int) "job 2: no check misses" 0 (counter j2 "check.miss");
+      Alcotest.(check bool) "job 2: check hits" true (counter j2 "check.hit" > 0);
+      List.iter
+        (fun key ->
+          Alcotest.(check bool) (key ^ " unchanged") true
+            (field j1 key = field j2 key))
+        [ "best_vector"; "best_ncd"; "functional_ok" ])
+
 (* The acceptance differential across a restart: job 1 fills the
    persistent store and its daemon closes, then a fresh daemon over the
    same directory runs job 2.  Job 2 must be served entirely from disk
@@ -481,6 +500,8 @@ let tests =
       test_serve_objective_parameter;
     Alcotest.test_case "serve cross-job sharing" `Slow
       test_serve_cross_job_sharing;
+    Alcotest.test_case "serve warm repeat checks nothing" `Slow
+      test_serve_warm_repeat_checks_nothing;
     Alcotest.test_case "serve warm store = cold tune" `Slow
       test_serve_warm_store_matches_cold_tune;
     Alcotest.test_case "serve torn store recovery" `Slow

@@ -142,7 +142,8 @@ let test_tuner_counters () =
     "counter names"
     [
       "memo.hit"; "memo.miss"; "memo.evict"; "sizecache.hit"; "sizecache.miss";
-      "incr.hit"; "incr.miss"; "incr.evict"; "store.hit"; "store.miss";
+      "incr.hit"; "incr.miss"; "incr.evict"; "check.hit"; "check.miss";
+      "check.evict"; "store.hit"; "store.miss";
       "store.evict"; "store.quarantine"; "objective.memo.hit";
       "objective.memo.miss";
     ]
@@ -152,6 +153,85 @@ let test_tuner_counters () =
   Alcotest.check_raises "unknown counter name"
     (Invalid_argument "Tuner.counter: unknown counter memo.hits") (fun () ->
       ignore (Bintuner.Tuner.counter r "memo.hits" : int))
+
+(* --- the functional check, read through the final-selection cache --- *)
+
+let check_bench = Corpus.find "473.astar"
+
+let o0 bench =
+  Toolchain.Pipeline.compile_preset Toolchain.Flags.gcc "O0"
+    (Corpus.program bench)
+
+let check_traffic s =
+  Bintuner.Session.check_counters (Bintuner.Session.check s)
+
+let with_session f =
+  let s = Bintuner.Session.create () in
+  Fun.protect ~finally:(fun () -> Bintuner.Session.close s) (fun () -> f s)
+
+(* Another program's O0 is a wrong answer: [false] when computed, and
+   [false] again when served from the cache. *)
+let test_functional_check_wrong_candidate () =
+  with_session (fun s ->
+      let baseline = o0 check_bench in
+      let wrong = o0 (Corpus.find "429.mcf") in
+      let check () =
+        Bintuner.Tuner.functional_check s check_bench ~baseline wrong
+      in
+      Alcotest.(check bool) "first call" false (check ());
+      Alcotest.(check bool) "cached call" false (check ());
+      Alcotest.(check (list (pair string int)))
+        "reference and verdict computed once, then one hit"
+        [ ("check.hit", 1); ("check.miss", 2); ("check.evict", 0) ]
+        (check_traffic s);
+      Alcotest.(check bool) "the baseline passes against itself" true
+        (Bintuner.Tuner.functional_check s check_bench ~baseline baseline))
+
+(* A run that traps raises on every call: the error is never cached. *)
+let test_functional_check_trap_not_cached () =
+  with_session (fun s ->
+      let baseline = o0 check_bench in
+      let trapping =
+        { baseline with entry = Array.length baseline.Isa.Binary.functions }
+      in
+      for call = 1 to 2 do
+        match
+          Bintuner.Tuner.functional_check s check_bench ~baseline trapping
+        with
+        | _ -> Alcotest.failf "call %d: a trapping candidate must raise" call
+        | exception Vm.Machine.Trap _ -> ()
+      done;
+      Alcotest.(check int) "only the O0 reference is cached" 1
+        (Util.Lru.length (Bintuner.Session.check s)))
+
+(* On random valid flag vectors, the cached verdict (first and repeat
+   call) equals the direct uncached check over every workload. *)
+let prop_functional_check_matches_direct =
+  let profile = Toolchain.Flags.gcc in
+  let prog = Corpus.program check_bench in
+  let baseline = lazy (o0 check_bench) in
+  let session = lazy (Bintuner.Session.create ()) in
+  QCheck.Test.make ~name:"cached functional verdict = direct check" ~count:12
+    QCheck.small_nat (fun seed ->
+      let baseline = Lazy.force baseline and s = Lazy.force session in
+      let rng = Util.Rng.create ((seed * 7) + 3) in
+      let vector =
+        Toolchain.Constraints.repair profile rng
+          (Array.init (Array.length profile.flags) (fun _ -> Util.Rng.bool rng))
+      in
+      let bin = Toolchain.Pipeline.compile_flags profile vector prog in
+      let direct =
+        List.for_all
+          (fun input ->
+            let r0 = Vm.Machine.run baseline ~input in
+            let r = Vm.Machine.run bin ~input in
+            r0.output = r.output && r0.return_value = r.return_value)
+          check_bench.workloads
+      in
+      let cached () =
+        Bintuner.Tuner.functional_check s check_bench ~baseline bin
+      in
+      cached () = direct && cached () = direct)
 
 let test_fitness_properties () =
   let prog = Corpus.program (Corpus.find "429.mcf") in
@@ -614,6 +694,11 @@ let tests =
     Alcotest.test_case "tuner database" `Slow test_tuner_database;
     Alcotest.test_case "tuner vector valid" `Slow test_tuner_vector_valid;
     Alcotest.test_case "tuner counters" `Slow test_tuner_counters;
+    Alcotest.test_case "functional check wrong candidate" `Quick
+      test_functional_check_wrong_candidate;
+    Alcotest.test_case "functional check trap not cached" `Quick
+      test_functional_check_trap_not_cached;
+    QCheck_alcotest.to_alcotest prop_functional_check_matches_direct;
     Alcotest.test_case "fitness properties" `Quick test_fitness_properties;
     Alcotest.test_case "database roundtrip" `Slow test_database_roundtrip;
     Alcotest.test_case "database frequency" `Slow test_database_flag_frequency;

@@ -48,8 +48,10 @@
 #      in stdin mode against a scratch persistent store, submits two
 #      identical jobs plus a `status` request, and asserts job 2 is
 #      served from the store (counters["store.hit"] > 0, with the memo
-#      disabled so a hit cannot hide there), both jobs agree
-#      bit-for-bit, the status report is coherent, and no worker
+#      disabled so a hit cannot hide there), job 2 re-checks nothing
+#      (counters["check.miss"] == 0: its functional verdicts and BinHunt
+#      scores come from the session's final-selection cache), both jobs
+#      agree bit-for-bit, the status report is coherent, and no worker
 #      domains leak.
 #  12. multi-objective smoke gate — a CLI `tune --objective ncd,gadgets`
 #      run must report a non-empty, mutually non-dominated Pareto front

@@ -11,6 +11,10 @@
 #     in-memory memo is disabled for the gate (--memo-max-mb 0 clamps
 #     it to one byte, which admits nothing) so a hit cannot hide in
 #     memory — it must come off disk;
+#   - job 2 re-checks nothing: every functional verdict and BinHunt
+#     score comes from the session's final-selection cache
+#     (counters["check.miss"] == 0, counters["check.hit"] > 0), a
+#     count of work rather than a time;
 #   - the status report is well-formed: two completed jobs and no
 #     per-job history (no "jobs" key), session-wide store hits
 #     (counters["store.hit"] > 0), zero quarantined store entries
@@ -51,6 +55,8 @@ j1, j2, status, bye = rs
 c1, c2, cs = j1["counters"], j2["counters"], status["counters"]
 assert j1["ok"] and c1["memo.miss"] > 0 and c1["store.miss"] > 0, j1
 assert j2["ok"] and c2["store.hit"] > 0, j2
+assert c1["check.miss"] > 0, j1
+assert c2["check.miss"] == 0 and c2["check.hit"] > 0, j2
 assert j2["best_vector"] == j1["best_vector"], (j1, j2)
 assert j2["best_ncd"] == j1["best_ncd"], (j1, j2)
 assert j2["iterations"] == j1["iterations"], (j1, j2)
