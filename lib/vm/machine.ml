@@ -36,6 +36,10 @@ let cond_holds c a b =
 
 let sentinel = -1
 
+(* words held when a run starts; the corpus programs touch a few
+   thousand *)
+let initial_stack_words = 4096
+
 let run_function ?(fuel = 100_000_000) ?(stack_words = 1 lsl 20)
     (bin : Isa.Binary.t) ~fid ~args ~input =
   let insns = Array.of_list (Isa.Codec.decode_all bin.arch bin.text) in
@@ -51,7 +55,35 @@ let run_function ?(fuel = 100_000_000) ?(stack_words = 1 lsl 20)
   let regs = Array.make 16 0 in
   let vregs = Array.init 8 (fun _ -> Array.make 4 0) in
   let data = Array.copy bin.data_words in
-  let stack = Array.make stack_words 0 in
+  (* The stack is the word range [0, stack_words), but only its top
+     [!lo, stack_words) is held, in [!seg] at index [addr - !lo].  A
+     write below [!lo] grows the segment downwards by doubling; a read
+     below it sees the 0 every untouched word holds. *)
+  let seg = ref (Array.make (min initial_stack_words stack_words) 0) in
+  let lo = ref (stack_words - Array.length !seg) in
+  let check_stack addr =
+    if addr < 0 || addr >= stack_words then trapf "stack access at %d" addr
+  in
+  let load addr =
+    check_stack addr;
+    if addr < !lo then 0 else !seg.(addr - !lo)
+  in
+  let store addr v =
+    check_stack addr;
+    if addr < !lo then begin
+      let old = !seg in
+      let size = ref (2 * Array.length old) in
+      while stack_words - !size > addr do
+        size := 2 * !size
+      done;
+      let size = min !size stack_words in
+      let grown = Array.make size 0 in
+      Array.blit old 0 grown (size - Array.length old) (Array.length old);
+      seg := grown;
+      lo := stack_words - size
+    end;
+    !seg.(addr - !lo) <- v
+  in
   let flag_a = ref 0 and flag_b = ref 0 in
   let out_rev = ref [] in
   let steps = ref 0 in
@@ -59,14 +91,10 @@ let run_function ?(fuel = 100_000_000) ?(stack_words = 1 lsl 20)
   (* arguments for the entry function are pushed below the sentinel
      return address, matching the calling convention *)
   let nargs = List.length args in
-  List.iteri (fun i v -> stack.(stack_words - 1 - i) <- v) args;
+  List.iteri (fun i v -> store (stack_words - 1 - i) v) args;
   regs.(Isa.Insn.sp) <- stack_words - 1 - nargs;
-  stack.(stack_words - 1 - nargs) <- sentinel;
+  store (stack_words - 1 - nargs) sentinel;
   let operand = function Oreg r -> regs.(r) | Oimm n -> n in
-  let stack_at addr =
-    if addr < 0 || addr >= stack_words then trapf "stack access at %d" addr;
-    addr
-  in
   let data_at addr =
     if addr < 0 || addr >= Array.length data then
       trapf "data access at %d" addr;
@@ -76,13 +104,17 @@ let run_function ?(fuel = 100_000_000) ?(stack_words = 1 lsl 20)
     let sp' = regs.(Isa.Insn.sp) - 1 in
     if sp' < 0 then trapf "stack overflow";
     regs.(Isa.Insn.sp) <- sp';
-    stack.(sp') <- v
+    store sp' v
   in
   let pop () =
     let sp' = regs.(Isa.Insn.sp) in
     if sp' >= stack_words then trapf "stack underflow";
     regs.(Isa.Insn.sp) <- sp' + 1;
-    stack.(sp')
+    load sp'
+  in
+  let return_to next =
+    if next < Array.length insns then fst insns.(next)
+    else String.length bin.text
   in
   let frame_addr base off idx =
     let b =
@@ -157,10 +189,10 @@ let run_function ?(fuel = 100_000_000) ?(stack_words = 1 lsl 20)
       data.(data_at (sym_base s + operand i)) <- operand v;
       pc := next
     | Ildf (d, base, off, i) ->
-      regs.(d) <- stack.(stack_at (frame_addr base off (operand i)));
+      regs.(d) <- load (frame_addr base off (operand i));
       pc := next
     | Istf (base, off, i, v) ->
-      stack.(stack_at (frame_addr base off (operand i))) <- operand v;
+      store (frame_addr base off (operand i)) (operand v);
       pc := next
     | Ipush s ->
       push (operand s);
@@ -169,20 +201,10 @@ let run_function ?(fuel = 100_000_000) ?(stack_words = 1 lsl 20)
       regs.(d) <- pop ();
       pc := next
     | Icall fid ->
-      let _, ret_off = insns.(!pc) |> fun (off, i) -> (i, off) in
-      ignore ret_off;
-      let return_to =
-        if next < Array.length insns then fst insns.(next)
-        else String.length bin.text
-      in
-      push return_to;
+      push (return_to next);
       pc := goto (entry_of fid)
     | Icallr r ->
-      let return_to =
-        if next < Array.length insns then fst insns.(next)
-        else String.length bin.text
-      in
-      push return_to;
+      push (return_to next);
       pc := goto regs.(r)
     | Ila (d, fid) ->
       regs.(d) <- entry_of fid;
@@ -227,13 +249,13 @@ let run_function ?(fuel = 100_000_000) ?(stack_words = 1 lsl 20)
     | Ivldf (d, base, off, i) ->
       let a = frame_addr base off (operand i) in
       for k = 0 to 3 do
-        vregs.(d).(k) <- stack.(stack_at (a + k))
+        vregs.(d).(k) <- load (a + k)
       done;
       pc := next
     | Ivstf (base, off, i, v) ->
       let a = frame_addr base off (operand i) in
       for k = 0 to 3 do
-        stack.(stack_at (a + k)) <- vregs.(v).(k)
+        store (a + k) vregs.(v).(k)
       done;
       pc := next
     | Iprint s ->
@@ -261,6 +283,8 @@ let run_function ?(fuel = 100_000_000) ?(stack_words = 1 lsl 20)
       regs.(r) <- 0;
       pc := next)
   done;
+  Telemetry.add_count "vm.runs";
+  Telemetry.add_count ~by:!steps "vm.steps";
   {
     output = List.rev !out_rev;
     return_value = regs.(bin.ret_reg);

@@ -4,7 +4,10 @@
     vector registers, a flags word set only by [Icmp]/[Itest], a flat
     word-addressed data memory initialized from the binary's data
     section, and a word-addressed stack used by push/pop/call/ret and
-    frame accesses.
+    frame accesses.  The stack spans words [\[0, stack_words)], but
+    [stack_words] is only a limit: memory is held for the part a run has
+    written, grown on demand from the top, and every word not yet
+    written reads 0.
 
     The VM is the ground truth for functional correctness: every tuned
     binary must produce the same output stream and exit value as the -O0
@@ -19,15 +22,18 @@ type result = {
 }
 
 exception Trap of string
-(** Invalid memory access, bad jump target, stack overflow, division
-    handled per MinC semantics (never traps). *)
+(** Invalid memory access (any stack access outside
+    [\[0, stack_words)] included), bad jump target, stack overflow;
+    division is handled per MinC semantics (never traps). *)
 
 exception Out_of_fuel
 
 val run :
   ?fuel:int -> ?stack_words:int -> Isa.Binary.t -> input:int array -> result
 (** Execute from the binary's entry function.  Default fuel 100 million
-    instructions, default stack 1 Mi words. *)
+    instructions, default stack limit 1 Mi words.  A run that returns
+    adds 1 to the telemetry counter [vm.runs] and its step count to
+    [vm.steps]. *)
 
 val run_function :
   ?fuel:int ->

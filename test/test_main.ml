@@ -24,6 +24,7 @@ let () =
       ("frozen-passes", Frozen_passes.tests);
       ("flags", Test_flags.tests);
       ("vm", Test_vm.tests);
+      ("frozen-vm", Frozen_vm.tests);
       ("obf", Test_obf.tests);
       ("corpus", Test_corpus.tests);
       ("binsight", Test_binsight.tests);

@@ -109,6 +109,145 @@ let test_steps_counts_instructions () =
   let r = Vm.Machine.run bin ~input:[||] in
   Alcotest.(check bool) "small step count" true (r.steps > 0 && r.steps < 64)
 
+let test_work_counters () =
+  let bin = compile "int main() { print_int(3); return 7; }" in
+  let t = Telemetry.create () in
+  Telemetry.set_global t;
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Telemetry.set_global Telemetry.null)
+      (fun () ->
+        ignore (Vm.Machine.run bin ~input:[||]);
+        Vm.Machine.run bin ~input:[||])
+  in
+  Alcotest.(check int) "vm.runs" 2 (Telemetry.counter_value t "vm.runs");
+  Alcotest.(check int) "vm.steps" (2 * r.steps)
+    (Telemetry.counter_value t "vm.steps")
+
+(* A binary assembled by hand, for states no compiler emits. *)
+let hand_binary insns =
+  let arch = Isa.Insn.X86_64 in
+  let text =
+    List.fold_left
+      (fun text i -> text ^ Isa.Codec.encode ~at:(String.length text) arch i)
+      "" insns
+  in
+  {
+    Isa.Binary.arch;
+    profile = "hand";
+    opt_label = "hand";
+    text;
+    data = "";
+    data_words = [||];
+    symbols = [||];
+    functions = [| ("main", 0, String.length text) |];
+    entry = 0;
+    ret_reg = 0;
+  }
+
+let expect_trap msg insns =
+  match Vm.Machine.run (hand_binary insns) ~input:[||] with
+  | exception Vm.Machine.Trap m -> Alcotest.(check string) "trap message" msg m
+  | _ -> Alcotest.fail "expected a trap"
+
+let test_pop_below_stack_traps () =
+  expect_trap "stack access at -3"
+    Isa.Insn.[ Imov (sp, Oimm (-3)); Ipop 0; Iret ]
+
+let test_push_above_stack_traps () =
+  expect_trap
+    (Printf.sprintf "stack access at %d" ((1 lsl 21) - 1))
+    Isa.Insn.[ Imov (sp, Oimm (1 lsl 21)); Ipush (Oimm 1); Iret ]
+
+(* Words far below anything pushed: an untouched one reads 0, a written
+   one reads back, and one between them, never written, still reads 0. *)
+let test_far_stack_words () =
+  let r =
+    Vm.Machine.run
+      (hand_binary
+         Isa.Insn.
+           [
+             Ildf (0, SP_rel, -100_000, Oimm 0);
+             Istf (SP_rel, -200_000, Oimm 0, Oimm 7);
+             Ildf (1, SP_rel, -200_000, Oimm 0);
+             Ildf (2, SP_rel, -150_000, Oimm 0);
+             Ialu (Amul, 1, 1, Oimm 10);
+             Ialu (Aadd, 0, 0, Oreg 1);
+             Ialu (Aadd, 0, 0, Oreg 2);
+             Iret;
+           ])
+      ~input:[||]
+  in
+  Alcotest.(check int) "far reads" 70 r.return_value
+
+(* The stack limit is exact, however the held segment grows: a run that
+   fits in [stack_words] words gives the same output, return value and
+   step count at every larger limit, and traps at every smaller one.
+   Limits are drawn around the segment's doubling points, and the
+   recursion depth is random so the deepest access lands anywhere
+   between them. *)
+let down_bin =
+  lazy
+    (compile
+       "int down(int n, int k) { int buf[4]; buf[n & 3] = n + k; if (n <= 0) { return k; } return down(n - 1, k) + (buf[n & 3] & 1); } int main() { return down(input(0), input(1)); }")
+
+let outcome f =
+  match f () with
+  | (r : Vm.Machine.result) ->
+    Some (Vir.Interp.output_to_string r.output, r.return_value, r.steps)
+  | exception Vm.Machine.Trap _ -> None
+
+(* the least limit at which [f] completes, given that it traps at 0 and
+   completes at 1 Mi words *)
+let least_limit f =
+  let rec go lo hi =
+    if hi - lo <= 1 then hi
+    else
+      let mid = (lo + hi) / 2 in
+      if outcome (f mid) = None then go mid hi else go lo mid
+  in
+  go 0 (1 lsl 20)
+
+let check_limits f =
+  let reference = outcome (f (1 lsl 20)) in
+  if reference = None then Alcotest.fail "run traps at the default limit";
+  let need = least_limit f in
+  let doublings =
+    List.concat_map
+      (fun k ->
+        let p = 4096 lsl k in
+        [ p - 1; p; p + 1 ])
+      [ 0; 1; 2; 3; 4 ]
+  in
+  List.iter
+    (fun words ->
+      let expected = if words >= need then reference else None in
+      if outcome (f words) <> expected then
+        QCheck.Test.fail_reportf "limit %d (least %d) disagrees" words need)
+    ([ 0; 1; 2; 3; need - 1; need; need + 1; 1 lsl 20 ] @ doublings)
+
+let prop_stack_limit =
+  QCheck.Test.make ~name:"stack limit is exact at every segment size"
+    ~count:10
+    QCheck.(pair (int_range 0 4000) small_nat)
+    (fun (n, k) ->
+      let bin = Lazy.force down_bin in
+      check_limits (fun words () ->
+          Vm.Machine.run ~stack_words:words bin ~input:[| n; k |]);
+      let fid =
+        let found = ref (-1) in
+        Array.iteri
+          (fun i (name, _, _) -> if name = "down" then found := i)
+          bin.Isa.Binary.functions;
+        !found
+      in
+      (* both arguments are [n], so the depth does not hang on which
+         end of the frame holds the first *)
+      check_limits (fun words () ->
+          Vm.Machine.run_function ~stack_words:words bin ~fid ~args:[ n; n ]
+            ~input:[||]);
+      true)
+
 let tests =
   [
     Alcotest.test_case "division" `Quick test_division_semantics;
@@ -121,4 +260,9 @@ let tests =
     Alcotest.test_case "run_function" `Quick test_run_function_args;
     Alcotest.test_case "corner programs" `Quick test_interp_vm_agree_on_corner_programs;
     Alcotest.test_case "step counting" `Quick test_steps_counts_instructions;
+    Alcotest.test_case "work counters" `Quick test_work_counters;
+    Alcotest.test_case "pop below stack traps" `Quick test_pop_below_stack_traps;
+    Alcotest.test_case "push above stack traps" `Quick test_push_above_stack_traps;
+    Alcotest.test_case "far stack words" `Quick test_far_stack_words;
+    QCheck_alcotest.to_alcotest prop_stack_limit;
   ]
