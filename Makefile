@@ -7,7 +7,8 @@
 #                     the pedantic lint against the committed allowlist
 #   make serve-smoke  boot the tuning daemon against a scratch persistent
 #                     store, run two jobs + status over stdin, assert job 2
-#                     is served off disk and no worker domains leak
+#                     is served from memory and no worker domains leak,
+#                     then assert a fresh daemon serves the job off disk
 #   make inspect      verified disassembly + gadget census + feature
 #                     extraction over the whole corpus on all four arches
 #                     (exits non-zero on any disassembly mismatch)
@@ -46,9 +47,11 @@ verify-ir:
 	dune exec bin/bintuner_cli.exe -- analyze --allowlist tools/lint_allowlist.txt
 
 # The serve daemon end-to-end: stdin transport, scratch artifact store,
-# two identical jobs (the second must be served from disk — the memo is
-# disabled so hits cannot hide in memory), a status request, and a clean
-# quit.  tools/ci.sh runs the same script as its serve gate.
+# default memo.  One daemon runs two identical jobs (the second served
+# from the session's memo and final-selection cache) and a status
+# request; a fresh daemon over the same store then runs the job again
+# entirely off disk, bit-identically.  Both quit cleanly.  tools/ci.sh
+# runs the same script as its serve gate.
 serve-smoke:
 	tools/serve_smoke.sh
 

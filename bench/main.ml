@@ -112,15 +112,8 @@ let pretune ?(arch = Isa.Insn.X86_64) jobs =
 let preset_binary ?(arch = Isa.Insn.X86_64) profile name bench =
   Toolchain.Pipeline.compile_preset profile ~arch name (Corpus.program bench)
 
-(* BinHunt scores by the pair's whole-binary digests, as the tuner's
-   final-selection cache keys them; bounded by entry count *)
-let binhunt_cache : (string * string, float) Util.Lru.t =
-  Util.Lru.create ~budget:4096 ()
-
-let binhunt a b =
-  let key = Bintuner.Tuner.(content_digest a, content_digest b) in
-  Util.Lru.find_or_add binhunt_cache key (fun () ->
-      Diffing.Binhunt.diff_score a b)
+(* BinHunt scores, each computed once per pair of binaries *)
+let diff_score = Bintuner.Session.(diff_score (create_check ()))
 
 (* ------------------------------------------------------------------ *)
 (* Figure 5: BinHunt difference scores under both profiles             *)
@@ -143,11 +136,11 @@ let fig5_profile profile ~first_bar =
         let tuned_bin = (tuned profile bench).refined_binary in
         ( bench.Corpus.bname,
           [
-            binhunt first o0;
-            binhunt o2 o0;
-            binhunt o3 o0;
-            binhunt tuned_bin o0;
-            binhunt tuned_bin o3;
+            diff_score ~baseline:o0 first;
+            diff_score ~baseline:o0 o2;
+            diff_score ~baseline:o0 o3;
+            diff_score ~baseline:o0 tuned_bin;
+            diff_score ~baseline:o3 tuned_bin;
           ] ))
       (eval_set ())
   in
@@ -221,12 +214,12 @@ let fig5 () =
     let cu = Corpus.find "coreutils" and ssl = Corpus.find "openssl" in
     let gcc = Toolchain.Flags.gcc in
     let wrong =
-      binhunt (preset_binary gcc "O0" cu) (preset_binary gcc "O0" ssl)
+      diff_score ~baseline:(preset_binary gcc "O0" ssl) (preset_binary gcc "O0" cu)
     in
     let tuned_cu = (tuned gcc cu).refined_binary in
     printf
       "Wrong-pair check: BinHunt(coreutils-BinTuner, coreutils-O0)=%.2f vs BinHunt(coreutils-O0, openssl-O0)=%.2f (paper: 0.77 vs 0.79)\n"
-      (binhunt tuned_cu (preset_binary gcc "O0" cu))
+      (diff_score ~baseline:(preset_binary gcc "O0" cu) tuned_cu)
       wrong
   end
 
@@ -380,7 +373,7 @@ let fig7 () =
       let r = tuned profile bench in
       let ast = Corpus.program bench in
       let o0 = preset_binary profile "O0" bench in
-      let full_score = binhunt r.refined_binary o0 in
+      let full_score = diff_score ~baseline:o0 r.refined_binary in
       let drops =
         List.filter_map
           (fun i ->
@@ -390,7 +383,7 @@ let fig7 () =
               (* removing one flag may break a dependency: skip invalid *)
               if Toolchain.Constraints.valid profile v then begin
                 let bin = Toolchain.Pipeline.compile_flags profile v ast in
-                let drop = full_score -. binhunt bin o0 in
+                let drop = full_score -. diff_score ~baseline:o0 bin in
                 Some (profile.flags.(i).name, max 0.0 drop)
               end
               else None
@@ -630,13 +623,13 @@ let cross_table title profile bench settings =
           List.map
             (fun (name_b, bin_b) ->
               if name_a = name_b then "-"
-              else Printf.sprintf "%.2f" (binhunt bin_a bin_b))
+              else Printf.sprintf "%.2f" (diff_score ~baseline:bin_b bin_a))
             bins
         in
         let sum =
           List.fold_left
             (fun acc (name_b, bin_b) ->
-              if name_a = name_b then acc else acc +. binhunt bin_a bin_b)
+              if name_a = name_b then acc else acc +. diff_score ~baseline:bin_b bin_a)
             0.0 bins
         in
         (name_a :: cells) @ [ Printf.sprintf "%.2f" sum ])
@@ -687,7 +680,7 @@ let fig10 () =
         List.init nsample (fun k ->
             let e = entries.(min (k * stride) (Array.length entries - 1)) in
             let bin = Toolchain.Pipeline.compile_flags profile e.vector ast in
-            (e.fitness.(0), binhunt bin o0))
+            (e.fitness.(0), diff_score ~baseline:o0 bin))
       in
       let rec chunks = function
         | a :: b :: c :: d :: e :: f' :: rest ->

@@ -1,25 +1,25 @@
 (* A tuning session: the shared substrate serving mode multiplexes jobs
    onto, and — created per call and dropped on exit — the substrate of
-   one-shot [Tuner.tune].  A session owns one pool, memo, size cache per
-   level and incremental store and hands them to every job, so the second
-   job over a corpus starts with the first job's compiles, compressed
-   sizes and pass-prefix snapshots already warm.
+   one-shot [Tuner.tune].  A session owns one pool, memo, size cache and
+   incremental store and hands them to every job, so the second job over
+   a corpus starts with the first job's compiles, compressed sizes and
+   pass-prefix snapshots already warm.
 
    Sharing is safe because every constituent cache is keyed on full
    content identity — the memo and artifact store on
-   (program digest, profile, arch, flag vector), the size caches on
-   stream MD5 (segregated per compression level, since sizes at
-   different levels are different numbers), the incremental store on the
-   pipeline's program-digest cache seed — and every cached value is a
-   pure function of its key.  A cross-job hit is therefore bit-identical
-   to a recompute, which is what lets the serve differential test pin
-   warm-session results to cold one-shot ones.
+   (program digest, profile, arch, flag vector), the size cache on stream
+   MD5, the incremental store on the pipeline's program-digest cache
+   seed — and every cached value is a pure function of its key.  A
+   cross-job hit is therefore bit-identical to a recompute, which is what
+   lets the serve differential test pin warm-session results to cold
+   one-shot ones.
 
-   The final-selection cache follows the same rule: its keys are MD5
-   digests of whole marshalled binaries (and of the workload inputs), and
-   its values — O0 reference outputs, functional verdicts, BinHunt
-   scores — are pure functions of those contents. *)
+   Every key format of these caches lives in this file: the store's
+   "bin|" and "sz|" namespaces and the final-selection cache's "ref|",
+   "ok|" and "bh|" ones. *)
 
+(* A final-selection result, cached under a key whose tag names its
+   kind. *)
 type final =
   | Reference of (Vir.Interp.output_item list * int) list
   | Verdict of bool
@@ -33,16 +33,15 @@ type t = {
   memo : Memo.t;
   incremental : Incremental.t;
   store : Store.t option;
-  (* one size cache per compression level, created on first use; keyed
-     by [Lz.level_name] *)
-  sizecaches : (string, Compress.Sizecache.t) Hashtbl.t;
+  sizecache : Compress.Sizecache.t;
   check : check;
-  lock : Mutex.t;
 }
 
 (* entries, not bytes: a reference is a few output lists, a verdict or
    score one word *)
 let check_entries = 4096
+
+let create_check () = Util.Lru.create ~telemetry:"check" ~budget:check_entries ()
 
 let create ?(jobs = 1) ?pool ?memo_max_bytes ?store () =
   let owned_pool, pool =
@@ -50,15 +49,27 @@ let create ?(jobs = 1) ?pool ?memo_max_bytes ?store () =
     | Some p -> (false, p)
     | None -> (true, Parallel.Pool.create (max 1 jobs))
   in
+  let level = Compress.Lz.default_level () in
+  (* the level is in the store key: a store outlives the process, and
+     sizes measured at different levels are different numbers *)
+  let backing =
+    Option.map
+      (fun st ->
+        let tag k = "sz|" ^ Compress.Lz.level_name level ^ "|" ^ k in
+        {
+          Compress.Sizecache.load = (fun k -> Store.find_size st (tag k));
+          save = (fun k v -> Store.store_size st (tag k) v);
+        })
+      store
+  in
   {
     pool;
     owned_pool;
     memo = Memo.create ?max_bytes:memo_max_bytes ();
     incremental = Incremental.create ();
     store;
-    sizecaches = Hashtbl.create 4;
-    check = Util.Lru.create ~telemetry:"check" ~budget:check_entries ();
-    lock = Mutex.create ();
+    sizecache = Compress.Sizecache.create ~level ?backing ();
+    check = create_check ();
   }
 
 let pool t = t.pool
@@ -67,32 +78,93 @@ let incremental t = t.incremental
 let store t = t.store
 let check t = t.check
 
-(* Level-segregated size caches: sizes measured at different match-finder
-   levels are different numbers, so each level gets its own table and its
-   own backing-key namespace ("sz|<level>|<cache key>") in the store. *)
 let sizecache t level =
-  let name = Compress.Lz.level_name level in
-  Mutex.lock t.lock;
-  let cache =
-    match Hashtbl.find_opt t.sizecaches name with
-    | Some c -> c
-    | None ->
-      let backing =
-        Option.map
-          (fun st ->
-            let tag k = "sz|" ^ name ^ "|" ^ k in
-            {
-              Compress.Sizecache.load = (fun k -> Store.find_size st (tag k));
-              save = (fun k v -> Store.store_size st (tag k) v);
-            })
-          t.store
-      in
-      let c = Compress.Sizecache.create ~level ?backing () in
-      Hashtbl.replace t.sizecaches name c;
-      c
+  let own = Compress.Sizecache.level t.sizecache in
+  if level <> own then
+    invalid_arg
+      (Printf.sprintf "Session.sizecache: session measures at %s, not %s"
+         (Compress.Lz.level_name own)
+         (Compress.Lz.level_name level));
+  t.sizecache
+
+let compile t ~program ~profile ~arch build vector =
+  let key = Memo.key ~program ~profile ~arch vector in
+  Memo.find_or_compile t.memo ~key (fun () ->
+      match t.store with
+      | None -> build vector
+      | Some st -> (
+        (* the durable tier behind the memo: consulted only on a memo
+           miss, written through on every fresh compile *)
+        let skey = "bin|" ^ key in
+        match Store.find_binary st skey with
+        | Some bin -> bin
+        | None ->
+          let bin = build vector in
+          Store.store_binary st skey bin;
+          bin))
+
+(* Final-selection keys: MD5 over the whole marshalled value.  Without
+   sharing, equal contents marshal to equal bytes.  Each domain marshals
+   into one reused buffer, grown on demand: a fresh marshalled copy of
+   every candidate binary raised tune-ga peak RSS by about 5 %. *)
+let marshal_buffer = Domain.DLS.new_key (fun () -> ref (Bytes.create 65536))
+
+let rec content_digest v =
+  let buf = Domain.DLS.get marshal_buffer in
+  match Marshal.to_buffer !buf 0 (Bytes.length !buf) v [ Marshal.No_sharing ] with
+  | n -> Digest.subbytes !buf 0 n
+  | exception Failure _ ->
+    buf := Bytes.create (2 * Bytes.length !buf);
+    content_digest v
+
+(* The key's tag fixes the kind of value stored under it. *)
+let unexpected () = invalid_arg "Session: final-selection cache kind mismatch"
+
+(* The baseline's outputs are computed once per (baseline, inputs) pair
+   and each verdict once per (baseline, candidate, inputs) triple; the
+   inputs digest is in every key, since two programs can compile to equal
+   O0 bytes yet ship different workloads.  A trapping or non-terminating
+   run raises out of [Util.Lru.find_or_add], which then caches
+   nothing. *)
+let functional_check check (bench : Corpus.benchmark) ~baseline =
+  let base = content_digest baseline ^ content_digest bench.workloads in
+  let reference () =
+    match
+      Util.Lru.find_or_add check ("ref|" ^ base) (fun () ->
+          Reference
+            (List.map
+               (fun input ->
+                 let r = Vm.Machine.run baseline ~input in
+                 (r.Vm.Machine.output, r.return_value))
+               bench.workloads))
+    with
+    | Reference outs -> outs
+    | _ -> unexpected ()
   in
-  Mutex.unlock t.lock;
-  cache
+  fun bin ->
+    match
+      Util.Lru.find_or_add check ("ok|" ^ base ^ content_digest bin) (fun () ->
+          Verdict
+            (List.for_all2
+               (fun input (output, return_value) ->
+                 let r = Vm.Machine.run bin ~input in
+                 r.Vm.Machine.output = output && r.return_value = return_value)
+               bench.workloads (reference ())))
+    with
+    | Verdict ok -> ok
+    | _ -> unexpected ()
+
+let diff_score check ~baseline =
+  let base = content_digest baseline in
+  fun bin ->
+    match
+      Util.Lru.find_or_add check ("bh|" ^ content_digest bin ^ base) (fun () ->
+          Diff_score
+            (Telemetry.with_span "tuner.binhunt" (fun () ->
+                 Diffing.Binhunt.diff_score bin baseline)))
+    with
+    | Diff_score score -> score
+    | _ -> unexpected ()
 
 let check_counters c =
   [
@@ -102,20 +174,15 @@ let check_counters c =
   ]
 
 (* Every cache counter the session owns, under the telemetry names, in a
-   fixed order; the size caches are summed over levels and the store's
-   counters read 0 without a store. *)
+   fixed order; the store's counters read 0 without a store. *)
 let counters t =
-  Mutex.lock t.lock;
-  let caches = Hashtbl.fold (fun _ c acc -> c :: acc) t.sizecaches [] in
-  Mutex.unlock t.lock;
-  let sizes f = List.fold_left (fun acc c -> acc + f c) 0 caches in
   let store f = match t.store with Some s -> f s | None -> 0 in
   [
     ("memo.hit", Memo.hits t.memo);
     ("memo.miss", Memo.misses t.memo);
     ("memo.evict", Memo.evictions t.memo);
-    ("sizecache.hit", sizes Compress.Sizecache.hits);
-    ("sizecache.miss", sizes Compress.Sizecache.misses);
+    ("sizecache.hit", Compress.Sizecache.hits t.sizecache);
+    ("sizecache.miss", Compress.Sizecache.misses t.sizecache);
     ("incr.hit", Incremental.hits t.incremental);
     ("incr.miss", Incremental.misses t.incremental);
     ("incr.evict", Incremental.evictions t.incremental);

@@ -56,63 +56,6 @@ let flags_enabled (p : Toolchain.Flags.profile) vector =
     vector;
   List.rev !names
 
-(* Final-selection cache keys: MD5 over the whole marshalled value.
-   Without sharing, equal contents marshal to equal bytes.  Each domain
-   marshals into one reused buffer, grown on demand: a fresh marshalled
-   copy of every candidate binary raised tune-ga peak RSS by about 5 %. *)
-let marshal_buffer = Domain.DLS.new_key (fun () -> ref (Bytes.create 65536))
-
-let rec content_digest v =
-  let buf = Domain.DLS.get marshal_buffer in
-  match Marshal.to_buffer !buf 0 (Bytes.length !buf) v [ Marshal.No_sharing ] with
-  | n -> Digest.subbytes !buf 0 n
-  | exception Failure _ ->
-    buf := Bytes.create (2 * Bytes.length !buf);
-    content_digest v
-
-(* The key's tag fixes the kind of value stored under it. *)
-let unexpected () = invalid_arg "Tuner: final-selection cache kind mismatch"
-
-(* A candidate passes when it matches the O0 baseline's output stream and
-   exit value on every workload input.  The baseline's outputs are
-   computed once per (baseline, inputs) pair and each verdict once per
-   (baseline, candidate, inputs) triple; the inputs digest is in every
-   key, since two programs can compile to equal O0 bytes yet ship
-   different workloads.  A trapping or non-terminating run raises out of
-   [Util.Lru.find_or_add], which then caches nothing. *)
-let functional_checker (check : Session.check) (bench : Corpus.benchmark)
-    ~baseline ~baseline_digest =
-  let base = baseline_digest ^ content_digest bench.workloads in
-  let reference () =
-    match
-      Util.Lru.find_or_add check ("ref|" ^ base) (fun () ->
-          Session.Reference
-            (List.map
-               (fun input ->
-                 let r = Vm.Machine.run baseline ~input in
-                 (r.Vm.Machine.output, r.return_value))
-               bench.workloads))
-    with
-    | Session.Reference outs -> outs
-    | _ -> unexpected ()
-  in
-  fun bin ->
-    match
-      Util.Lru.find_or_add check ("ok|" ^ base ^ content_digest bin) (fun () ->
-          Session.Verdict
-            (List.for_all2
-               (fun input (output, return_value) ->
-                 let r = Vm.Machine.run bin ~input in
-                 r.Vm.Machine.output = output && r.return_value = return_value)
-               bench.workloads (reference ())))
-    with
-    | Session.Verdict ok -> ok
-    | _ -> unexpected ()
-
-let functional_check session bench ~baseline bin =
-  functional_checker (Session.check session) bench ~baseline
-    ~baseline_digest:(content_digest baseline) bin
-
 let tune ?(arch = Isa.Insn.X86_64) ?(termination = Search.default_termination)
     ?(seed = 1) ?(strategy = Search.Genetic.strategy ()) ?pool ?session
     ?(incremental = true) ?(objectives = Search.Objective.default)
@@ -123,14 +66,17 @@ let tune ?(arch = Isa.Insn.X86_64) ?(termination = Search.default_termination)
      unless the caller passed one) live exactly as long as the call *)
   let throwaway = Option.is_none session in
   let session =
-    if throwaway then Session.create ?pool () else Option.get session
+    match (session, pool) with
+    | None, _ -> Session.create ?pool ()
+    | Some s, None -> s
+    | Some _, Some _ -> invalid_arg "Tuner.tune: pass ~pool or ~session, not both"
   in
   (* search and final selection on the session; what is left, the
      functional check, comes back as a closure to run after the close *)
   let finish =
     Fun.protect ~finally:(fun () -> if throwaway then Session.close session)
     @@ fun () ->
-  let pool = Option.value pool ~default:(Session.pool session) in
+  let pool = Session.pool session in
   (* shared caches carry traffic from earlier jobs; snapshot the counters
      before this call's first compile (the O0 baseline) so the result
      reports exactly this call's deltas *)
@@ -150,10 +96,8 @@ let tune ?(arch = Isa.Insn.X86_64) ?(termination = Search.default_termination)
   in
   let baseline = Toolchain.Pipeline.compile_preset profile ~arch ?snapshot "O0" ast in
   let baseline_stream = code_stream baseline in
-  let check = Session.check session in
-  let baseline_digest = content_digest baseline in
   (* every C(x) / C(x·baseline) term of this run goes through one
-     content-addressed cache (one per compression level): the baseline's
+     content-addressed cache, the session's: the baseline's
      solo size is compressed once, here, so the workers' shared term is a
      guaranteed hit instead of a race of misses, and candidates the
      search revisits hit instead of re-compressing.  With a persistent
@@ -166,29 +110,12 @@ let tune ?(arch = Isa.Insn.X86_64) ?(termination = Search.default_termination)
         Compress.Ncd.distance_via ncd_cache stream baseline_stream)
   in
   let database = ref [] in
-  let memo = Session.memo session in
-  let store = Session.store session in
-  let program = Digest.to_hex (Digest.string bench.Corpus.source) in
-  let compile vector =
-    let key = Memo.key ~program ~profile:profile.profile_name ~arch vector in
-    Memo.find_or_compile memo ~key (fun () ->
-        let build () =
-          Telemetry.with_span "tuner.compile" (fun () ->
-              Toolchain.Pipeline.compile_flags profile ~arch ?snapshot vector
-                ast)
-        in
-        match store with
-        | None -> build ()
-        | Some st -> (
-          (* the durable tier behind the memo: consulted only on a memo
-             miss, written through on every fresh compile *)
-          let skey = "bin|" ^ key in
-          match Store.find_binary st skey with
-          | Some bin -> bin
-          | None ->
-            let bin = build () in
-            Store.store_binary st skey bin;
-            bin))
+  let compile =
+    Session.compile session
+      ~program:(Digest.to_hex (Digest.string bench.Corpus.source))
+      ~profile:profile.profile_name ~arch (fun vector ->
+        Telemetry.with_span "tuner.compile" (fun () ->
+            Toolchain.Pipeline.compile_flags profile ~arch ?snapshot vector ast))
   in
   (* The multi-objective evaluator: per-axis memoized evaluation over
      the compiled binary.  The [ncd] axis is the same [ncd] the default
@@ -316,19 +243,12 @@ let tune ?(arch = Isa.Insn.X86_64) ?(termination = Search.default_termination)
     | cands ->
       (* BinHunt is two orders of magnitude dearer than the fitness
          (§4.2): score the verification set across the pool *)
+      let diff_score = Session.diff_score (Session.check session) ~baseline in
       let scored =
         Parallel.Pool.map_list ~chunk_size:1 pool
           (fun e ->
             let bin = compile e.vector in
-            let key = "bh|" ^ content_digest bin ^ baseline_digest in
-            match
-              Util.Lru.find_or_add check key (fun () ->
-                  Session.Diff_score
-                    (Telemetry.with_span "tuner.binhunt" (fun () ->
-                         Diffing.Binhunt.diff_score bin baseline)))
-            with
-            | Session.Diff_score score -> (score, e.vector, bin)
-            | _ -> unexpected ())
+            (diff_score bin, e.vector, bin))
           cands
       in
       let best_score, v, b =
@@ -384,7 +304,8 @@ let tune ?(arch = Isa.Insn.X86_64) ?(termination = Search.default_termination)
     }
   in
   let counters_at_close = Session.counters session in
-  let functional = functional_checker check bench ~baseline ~baseline_digest in
+  let check = Session.check session in
+  let functional = Session.functional_check check bench ~baseline in
   (* The VM check runs once the call has let go of the session: this
      closure holds the final-selection cache but not the session, so the
      caches of a throwaway session (tens of MB of IR snapshots) are

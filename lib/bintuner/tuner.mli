@@ -49,8 +49,8 @@ type result = {
   wall_seconds : float;  (** wall-clock (not CPU) duration of the run *)
   functional_ok : bool;
       (** both [best_binary] and [refined_binary] pass every test
-          workload: {!functional_check} on each, through the session's
-          final-selection cache.  When the two binaries are equal the
+          workload: {!Session.functional_check} on each, through the
+          session's final-selection cache.  When the two binaries are equal the
           second verdict is a cache hit, and a warm repeat of a job the
           session has already checked runs no VM at all *)
   counters : (string * int) list;
@@ -91,24 +91,6 @@ val code_stream : Isa.Binary.t -> string
 val fitness_of_binaries : Isa.Binary.t -> Isa.Binary.t -> float
 (** NCD over {!code_stream} projections — BinTuner's fitness. *)
 
-val content_digest : 'a -> Digest.t
-(** MD5 of a value marshalled without sharing, so equal contents give
-    equal digests: the final-selection cache's key for a whole binary or
-    a workload list. *)
-
-val functional_check :
-  Session.t -> Corpus.benchmark -> baseline:Isa.Binary.t -> Isa.Binary.t -> bool
-(** [functional_check session bench ~baseline bin] — whether [bin]
-    produces the same output stream and exit value as the O0 [baseline]
-    on every one of [bench]'s workload inputs in the VM.  Read through
-    {!Session.check}: the baseline's outputs are computed once per
-    (baseline, inputs) digest pair and the verdict once per (baseline,
-    candidate, inputs) triple, so a repeat call runs no VM.  Equal to
-    the direct [List.for_all] over the workloads.  A trapping or
-    non-terminating run raises {!Vm.Machine.Trap} or
-    {!Vm.Machine.Out_of_fuel}, on every call: errors are never
-    cached. *)
-
 val tune :
   ?arch:Isa.Insn.arch ->
   ?termination:Search.termination ->
@@ -132,9 +114,11 @@ val tune :
 
     [strategy] selects the search backend (default: the GA with
     {!Search.Genetic.default_params}; build one with
-    {!Search.Genetic.strategy} to parameterize the GA).  When [pool] is
-    omitted the session's pool is used — for a one-shot call, a size-1
-    pool shut down on every exit, normal or exceptional.
+    {!Search.Genetic.strategy} to parameterize the GA).  The call runs
+    on its session's pool.  [pool] only seeds a throwaway session; when
+    it is omitted too, that session's pool has size 1 and is shut down on
+    every exit, normal or exceptional.  Passing both [pool] and
+    [session] raises [Invalid_argument].
 
     [incremental] (default on) shares one {!Incremental} pass-prefix
     snapshot store across every compile of the run, so candidates
@@ -144,7 +128,7 @@ val tune :
     [incr.*] counters and wall-clock change.
 
     [session] plugs the call into a long-lived {!Session}: the session's
-    pool, compile memo, per-level size cache, incremental store and
+    pool, compile memo, size cache, incremental store and
     (when attached) persistent artifact store serve the call, so
     successive jobs over the same corpus hit each other's entries.
     Without one, the call runs on a throwaway session created with
@@ -152,13 +136,13 @@ val tune :
     code path.  Lossless like every cache here — a warm-session result is
     bit-identical to a cold one-shot result (the serve differential test
     pins this); [counters] are per-call {e deltas}, so they mean the same
-    thing either way.  An explicit [pool] still takes precedence over the
-    session's; a session created with [~memo_max_bytes:0] runs every
-    compile request through the pipeline.
+    thing either way.  A session created with [~memo_max_bytes:0] runs
+    every compile request through the pipeline.
 
-    The fitness compresses at {!Compress.Lz.default_level}, read once
-    per call: the CLI and bench driver's [--lz-level] set it before
-    tuning, and a session keeps one size cache per level.
+    The fitness compresses at {!Compress.Lz.default_level}, which the
+    CLI and bench driver's [--lz-level] set before tuning.  A session
+    measures at the level current when it was created, so a call on a
+    session created at another level raises [Invalid_argument].
 
     [objectives] selects the fitness axes and their scalarization
     weights ({!Search.Objective.parse} grammar: ["ncd,gadgets:0.5"]).

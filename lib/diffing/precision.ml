@@ -12,8 +12,8 @@ let canonical name =
     String.sub name 7 (String.length name - 7)
   else name
 
-let evaluate (tool : Tools.tool) bin_a bin_b =
-  let ca = Bcode.analyze bin_a and cb = Bcode.analyze bin_b in
+let evaluate_analyzed (tool : Tools.tool) (ca : Bcode.t) (cb : Bcode.t) =
+  let similarity = tool.similarity ca cb in
   let nb = Array.length cb.funcs in
   let hits = ref 0 and total = ref 0 in
   Array.iteri
@@ -29,7 +29,7 @@ let evaluate (tool : Tools.tool) bin_a bin_b =
           incr total;
           let best = ref (-1) and best_score = ref neg_infinity in
           for j = 0 to nb - 1 do
-            let s = tool.similarity ca cb i j in
+            let s = similarity i j in
             if s > !best_score then begin
               best_score := s;
               best := j
@@ -48,5 +48,9 @@ let evaluate (tool : Tools.tool) bin_a bin_b =
       (if !total = 0 then 0.0 else float_of_int !hits /. float_of_int !total);
   }
 
+let evaluate tool bin_a bin_b =
+  evaluate_analyzed tool (Bcode.analyze bin_a) (Bcode.analyze bin_b)
+
 let evaluate_all ?(tools = Tools.all) bin_a bin_b =
-  List.map (fun t -> evaluate t bin_a bin_b) tools
+  let ca = Bcode.analyze bin_a and cb = Bcode.analyze bin_b in
+  List.map (fun t -> evaluate_analyzed t ca cb) tools

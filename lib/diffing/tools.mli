@@ -22,8 +22,11 @@ type tool = {
   tool_name : string;
   similarity : Bcode.t -> Bcode.t -> int -> int -> float;
       (** [similarity a b i j] scores function [i] of [a] against
-          function [j] of [b]; higher is more similar.  Implementations
-          may cache per-binary analyses internally. *)
+          function [j] of [b]; higher is more similar.  Staged: applied
+          to [a] and [b] alone, it extracts both binaries' per-function
+          features once and returns the pairwise scorer, so rank a
+          binary's candidates through one [similarity a b].  Nothing is
+          cached across calls. *)
 }
 
 val asm2vec : tool

@@ -88,10 +88,10 @@ let run_function ?(fuel = 100_000_000) ?(stack_words = 1 lsl 20)
   let out_rev = ref [] in
   let steps = ref 0 in
   let fuel = ref fuel in
-  (* arguments for the entry function are pushed below the sentinel
-     return address, matching the calling convention *)
+  (* arguments for the entry function sit above the sentinel return
+     address as a caller leaves them: the first argument nearest it *)
   let nargs = List.length args in
-  List.iteri (fun i v -> store (stack_words - 1 - i) v) args;
+  List.iteri (fun i v -> store (stack_words - nargs + i) v) args;
   regs.(Isa.Insn.sp) <- stack_words - 1 - nargs;
   store (stack_words - 1 - nargs) sentinel;
   let operand = function Oreg r -> regs.(r) | Oimm n -> n in

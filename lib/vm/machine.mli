@@ -43,6 +43,8 @@ val run_function :
   args:int list ->
   input:int array ->
   result
-(** Call an arbitrary function with the given stack arguments against the
-    binary's initial data image — the entry point used by the IMF-SIM
-    reproduction's in-memory fuzzing. *)
+(** Call an arbitrary function against the binary's initial data image —
+    the entry point used by the IMF-SIM reproduction's in-memory fuzzing.
+    [args] are the call's stack arguments in call order: the first binds
+    the function's first parameter, as in a call [f(a, b)] compiled from
+    source. *)

@@ -176,7 +176,8 @@ let test_functional_check_wrong_candidate () =
       let baseline = o0 check_bench in
       let wrong = o0 (Corpus.find "429.mcf") in
       let check () =
-        Bintuner.Tuner.functional_check s check_bench ~baseline wrong
+        Bintuner.Session.functional_check (Bintuner.Session.check s)
+          check_bench ~baseline wrong
       in
       Alcotest.(check bool) "first call" false (check ());
       Alcotest.(check bool) "cached call" false (check ());
@@ -185,7 +186,8 @@ let test_functional_check_wrong_candidate () =
         [ ("check.hit", 1); ("check.miss", 2); ("check.evict", 0) ]
         (check_traffic s);
       Alcotest.(check bool) "the baseline passes against itself" true
-        (Bintuner.Tuner.functional_check s check_bench ~baseline baseline))
+        (Bintuner.Session.functional_check (Bintuner.Session.check s)
+           check_bench ~baseline baseline))
 
 (* A run that traps raises on every call: the error is never cached. *)
 let test_functional_check_trap_not_cached () =
@@ -196,13 +198,69 @@ let test_functional_check_trap_not_cached () =
       in
       for call = 1 to 2 do
         match
-          Bintuner.Tuner.functional_check s check_bench ~baseline trapping
+          Bintuner.Session.functional_check (Bintuner.Session.check s)
+            check_bench ~baseline trapping
         with
         | _ -> Alcotest.failf "call %d: a trapping candidate must raise" call
         | exception Vm.Machine.Trap _ -> ()
       done;
-      Alcotest.(check int) "only the O0 reference is cached" 1
-        (Util.Lru.length (Bintuner.Session.check s)))
+      (* the reference is computed once and hit once; the verdict misses
+         on both calls, so the first call's trap left nothing behind *)
+      Alcotest.(check (list (pair string int)))
+        "only the O0 reference is cached"
+        [ ("check.hit", 1); ("check.miss", 3); ("check.evict", 0) ]
+        (check_traffic s))
+
+(* The session's BinHunt score is [Binhunt.diff_score], and a repeat of
+   the same pair is one cache hit. *)
+let test_diff_score_cached () =
+  with_session (fun s ->
+      let baseline = o0 check_bench in
+      let o2 =
+        Toolchain.Pipeline.compile_preset Toolchain.Flags.gcc "O2"
+          (Corpus.program check_bench)
+      in
+      let score () =
+        Bintuner.Session.diff_score (Bintuner.Session.check s) ~baseline o2
+      in
+      Alcotest.(check (float 0.0)) "first call = Binhunt.diff_score"
+        (Diffing.Binhunt.diff_score o2 baseline) (score ());
+      Alcotest.(check (list (pair string int)))
+        "one miss" [ ("check.hit", 0); ("check.miss", 1); ("check.evict", 0) ]
+        (check_traffic s);
+      Alcotest.(check (float 0.0)) "repeat call = Binhunt.diff_score"
+        (Diffing.Binhunt.diff_score o2 baseline) (score ());
+      Alcotest.(check (list (pair string int)))
+        "then one hit" [ ("check.hit", 1); ("check.miss", 1); ("check.evict", 0) ]
+        (check_traffic s))
+
+(* A session measures at the level it was created at and refuses any
+   other, so one session never mixes sizes from two match finders. *)
+let test_sizecache_rejects_foreign_level () =
+  with_session (fun s ->
+      let own = Compress.Lz.default_level () in
+      Alcotest.(check string) "the creation-time level"
+        (Compress.Lz.level_name own)
+        (Compress.Lz.level_name
+           (Compress.Sizecache.level (Bintuner.Session.sizecache s own)));
+      let foreign =
+        match own with Compress.Lz.Greedy -> Compress.Lz.Chained 128 | _ -> Greedy
+      in
+      match Bintuner.Session.sizecache s foreign with
+      | _ -> Alcotest.fail "a foreign level must be refused"
+      | exception Invalid_argument _ -> ())
+
+(* A session brings its own pool: [~pool] only seeds a throwaway
+   session, so passing both is refused before any work. *)
+let test_tune_refuses_pool_and_session () =
+  with_session (fun session ->
+      Parallel.Pool.with_pool 1 (fun pool ->
+          match
+            Bintuner.Tuner.tune ~pool ~session ~profile:Toolchain.Flags.gcc
+              check_bench
+          with
+          | _ -> Alcotest.fail "~pool with ~session must be refused"
+          | exception Invalid_argument _ -> ()))
 
 (* On random valid flag vectors, the cached verdict (first and repeat
    call) equals the direct uncached check over every workload. *)
@@ -229,7 +287,8 @@ let prop_functional_check_matches_direct =
           check_bench.workloads
       in
       let cached () =
-        Bintuner.Tuner.functional_check s check_bench ~baseline bin
+        Bintuner.Session.functional_check (Bintuner.Session.check s)
+          check_bench ~baseline bin
       in
       cached () = direct && cached () = direct)
 
@@ -698,6 +757,11 @@ let tests =
       test_functional_check_wrong_candidate;
     Alcotest.test_case "functional check trap not cached" `Quick
       test_functional_check_trap_not_cached;
+    Alcotest.test_case "diff score cached" `Quick test_diff_score_cached;
+    Alcotest.test_case "sizecache rejects foreign level" `Quick
+      test_sizecache_rejects_foreign_level;
+    Alcotest.test_case "tune refuses pool and session" `Quick
+      test_tune_refuses_pool_and_session;
     QCheck_alcotest.to_alcotest prop_functional_check_matches_direct;
     Alcotest.test_case "fitness properties" `Quick test_fitness_properties;
     Alcotest.test_case "database roundtrip" `Slow test_database_roundtrip;

@@ -75,6 +75,42 @@ let test_run_function_args () =
   let r = Vm.Machine.run_function bin ~fid ~args:[ 1; 2; 3 ] ~input:[||] in
   Alcotest.(check int) "direct call" 6 r.return_value
 
+(* [args] bind in call order: a non-commutative callee returns what the
+   same call compiled from source returns, for both profiles and every
+   arch, unoptimized and optimized. *)
+let test_run_function_arg_order () =
+  let src =
+    "int sub(int a, int b) { return a - b; } int main() { return sub(10, 3); }"
+  in
+  List.iter
+    (fun (profile, arch, preset) ->
+      let bin =
+        Toolchain.Pipeline.compile_preset profile ~arch preset
+          (Minic.Sema.analyze src)
+      in
+      let label =
+        Printf.sprintf "%s %s %s" profile.Toolchain.Flags.profile_name
+          (Isa.Insn.arch_name arch) preset
+      in
+      let fid =
+        let found = ref (-1) in
+        Array.iteri
+          (fun i (n, _, _) -> if n = "sub" then found := i)
+          bin.Isa.Binary.functions;
+        !found
+      in
+      Alcotest.(check int) (label ^ ": main's sub(10, 3)") 7
+        (Vm.Machine.run bin ~input:[||]).return_value;
+      Alcotest.(check int) (label ^ ": run_function ~args:[10; 3]") 7
+        (Vm.Machine.run_function bin ~fid ~args:[ 10; 3 ] ~input:[||])
+          .return_value)
+    (List.concat_map
+       (fun profile ->
+         List.concat_map
+           (fun arch -> List.map (fun p -> (profile, arch, p)) [ "O0"; "O2" ])
+           [ Isa.Insn.X86_64; Isa.Insn.Arm ])
+       [ Toolchain.Flags.gcc; Toolchain.Flags.llvm ])
+
 let test_interp_vm_agree_on_corner_programs () =
   List.iter
     (fun src ->
@@ -258,6 +294,8 @@ let tests =
     Alcotest.test_case "oob traps" `Quick test_oob_data_traps;
     Alcotest.test_case "input conventions" `Quick test_input_conventions;
     Alcotest.test_case "run_function" `Quick test_run_function_args;
+    Alcotest.test_case "run_function argument order" `Quick
+      test_run_function_arg_order;
     Alcotest.test_case "corner programs" `Quick test_interp_vm_agree_on_corner_programs;
     Alcotest.test_case "step counting" `Quick test_steps_counts_instructions;
     Alcotest.test_case "work counters" `Quick test_work_counters;

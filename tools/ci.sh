@@ -46,14 +46,17 @@
 #      on and real snapshot hits.  It records no wall time; throughput is
 #      perfbench's tune-hill workload (perfbench/README.md).
 #  11. serve smoke gate — tools/serve_smoke.sh boots the `serve` daemon
-#      in stdin mode against a scratch persistent store, submits two
-#      identical jobs plus a `status` request, and asserts job 2 is
-#      served from the store (counters["store.hit"] > 0, with the memo
-#      disabled so a hit cannot hide there), job 2 re-checks nothing
+#      in stdin mode, with its default memo, against a scratch
+#      persistent store, submits two identical jobs plus a `status`
+#      request, and asserts job 2 is served from the memo
+#      (counters["memo.hit"] > 0) and re-checks nothing
 #      (counters["check.miss"] == 0: its functional verdicts and BinHunt
 #      scores come from the session's final-selection cache), both jobs
 #      agree bit-for-bit, the status report is coherent, and no worker
-#      domains leak.
+#      domains leak.  A fresh daemon over the same store then runs the
+#      job off disk alone (counters["store.hit"] > 0,
+#      counters["store.miss"] == 0) with a result bit-identical to the
+#      first daemon's.
 #  12. multi-objective smoke gate — a CLI `tune --objective ncd,gadgets`
 #      run must report a non-empty, mutually non-dominated Pareto front
 #      that is byte-identical at -j 1 and -j 2, and the `pareto`
