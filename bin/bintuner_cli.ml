@@ -185,6 +185,17 @@ let tune_cmd =
       prof incremental objectives =
     Compress.Lz.set_default_level lz_level;
     let _, b = load_program ~bench ~source in
+    (* read the database before tuning: a malformed file must not cost
+       the whole search *)
+    let existing =
+      match db with
+      | Some path when Sys.file_exists path -> (
+        try Bintuner.Database.load path
+        with Failure m | Sys_error m ->
+          Printf.eprintf "tune: cannot read tuning database %s: %s\n" path m;
+          exit 1)
+      | _ -> []
+    in
     let termination =
       { Search.default_termination with max_evaluations = iterations }
     in
@@ -236,9 +247,6 @@ let tune_cmd =
     match db with
     | None -> ()
     | Some path ->
-      let existing =
-        if Sys.file_exists path then Bintuner.Database.load path else []
-      in
       Bintuner.Database.save path
         (existing @ [ Bintuner.Database.of_result r p ]);
       Printf.printf "run appended to %s\n" path
@@ -336,10 +344,10 @@ let diff_cmd =
     let program, _ = load_program ~bench ~source in
     let ba = Toolchain.Pipeline.compile_preset p ~arch a program in
     let bb = Toolchain.Pipeline.compile_preset p ~arch b_ program in
-    let d = Diffing.Binhunt.compare_binaries ba bb in
-    Printf.printf "BinHunt difference score (%s vs %s): %.3f\n" a b_ d.score;
-    Printf.printf "matched: %s\n"
-      (Diffing.Metrics.to_string (Diffing.Metrics.compute ba bb));
+    let m = Diffing.Metrics.compute ba bb in
+    Printf.printf "BinHunt difference score (%s vs %s): %.3f\n" a b_
+      m.binhunt_score;
+    Printf.printf "matched: %s\n" (Diffing.Metrics.to_string m);
     List.iter
       (fun r ->
         Printf.printf "  %-10s Precision@1 = %.2f (%d/%d)\n"

@@ -43,15 +43,12 @@ module type DOMAIN = sig
 
   val widen : t -> t -> t
   (** [widen old_input new_input] replaces [join] once a block's input
-      has been recomputed {!widen_delay} times; must over-approximate
+      has been recomputed a few times; must over-approximate
       both arguments and stabilize infinite ascending chains.
       Finite-height domains simply reuse [join]. *)
 
   val transfer : Vir.Ir.func -> Vir.Ir.block -> t -> t
 end
-
-val widen_delay : int
-(** Number of visits of one node before [widen] replaces plain joining. *)
 
 (** Abstract directed graph the generic engine iterates over. *)
 module type GRAPH = sig
@@ -170,7 +167,6 @@ module Constprop : sig
 
   val lookup : cval Imap.t -> int -> cval
   val set : cval Imap.t -> int -> cval -> cval Imap.t
-  val join_cval : cval -> cval -> cval
   val join : t -> t -> t
   val equal : t -> t -> bool
   val operand : cval Imap.t -> Vir.Ir.operand -> cval
@@ -178,23 +174,16 @@ module Constprop : sig
   val solve : Vir.Ir.func -> (int, t) Hashtbl.t * (int, t) Hashtbl.t
 end
 
-(** Integer interval analysis (forward, widened after {!widen_delay}
-    visits).  [min_int]/[max_int] double as -∞/+∞; all arithmetic
+(** Integer interval analysis (forward, widened after a few visits
+    of a block).  [min_int]/[max_int] double as -∞/+∞; all arithmetic
     saturates. *)
 module Interval : sig
   type itv = { lo : int; hi : int }
 
   val top : itv
   val const : int -> itv
-  val zero : itv
-  val is_top : itv -> bool
   val add : itv -> itv -> itv
-  val neg : itv -> itv
-  val sub : itv -> itv -> itv
-  val mul : itv -> itv -> itv
   val hull : itv -> itv -> itv
-  val bool_itv : itv
-  val eval_bin : Vir.Ir.binop -> itv -> itv -> itv
 
   type t = Unreached | Env of itv Imap.t
   (** As in {!Constprop}: an absent register is exactly 0. *)

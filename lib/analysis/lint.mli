@@ -23,9 +23,6 @@ val finding_to_string : finding -> string
 (** ["func: [category] detail"] — the stable human rendering the
     allowlist format is keyed on. *)
 
-val lint_func : Vir.Ir.program -> Vir.Ir.func -> finding list
-(** Findings for one function, in block-layout order. *)
-
 val lint_program : Vir.Ir.program -> finding list
-(** Concatenation of {!lint_func} over the program's functions in
+(** Findings of each function in block-layout order, functions in
     definition order — deterministic, suitable for golden tests. *)

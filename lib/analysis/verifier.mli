@@ -25,11 +25,9 @@
 
 type error = { check : string; func : string; detail : string }
 
-val error_to_string : error -> string
-(** ["func: [check] detail"]. *)
-
 val errors_to_string : error list -> string
-(** ["; "]-joined {!error_to_string}, for exception payloads and logs. *)
+(** ["func: [check] detail"] per error, ["; "]-joined, for exception
+    payloads and logs. *)
 
 val verify_func : Vir.Ir.program -> Vir.Ir.func -> error list
 (** All violations in one function (empty = well-formed).  The program

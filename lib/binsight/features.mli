@@ -35,10 +35,4 @@ val provenance_vector : Isa.Binary.t -> float array
     frequencies normalized by instruction count.  This is the extractor
     [Provenance.Classify] trains on. *)
 
-val stack_bound : Disasm.func_disasm -> stack_bound
-(** Static bound on the words a function pushes beyond its entry depth
-    (call return addresses count one transient word); [Unbounded] when
-    the interval analysis widens to infinity (e.g. unbalanced pushes in
-    a loop). *)
-
 val extract : Isa.Binary.t -> Disasm.t -> t

@@ -16,8 +16,6 @@ open Isa.Insn
 
 type gclass = Gret | Gjump | Gcall
 
-let class_name = function Gret -> "ret" | Gjump -> "jump" | Gcall -> "call"
-
 type gadget = {
   g_addr : int;  (** lowest offset the byte sequence occurs at *)
   g_len : int;  (** byte length *)

@@ -10,8 +10,6 @@
 
 type gclass = Gret | Gjump | Gcall
 
-val class_name : gclass -> string
-
 type gadget = {
   g_addr : int;  (** lowest offset the byte sequence occurs at *)
   g_len : int;  (** byte length *)

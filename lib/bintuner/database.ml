@@ -270,16 +270,6 @@ let load ?objectives:expected path =
        with End_of_file -> ());
       List.rev !runs)
 
-let lookup r =
-  let tbl = Hashtbl.create (List.length r.entries) in
-  (* first occurrence wins, matching the order entries were recorded *)
-  List.iter
-    (fun (v, f) ->
-      let k = vector_to_string v in
-      if not (Hashtbl.mem tbl k) then Hashtbl.replace tbl k f)
-    r.entries;
-  fun vector -> Hashtbl.find_opt tbl (vector_to_string vector)
-
 let flag_frequency r =
   let ranked = List.sort (fun (_, a) (_, b) -> compare b a) r.entries in
   let n = List.length ranked in

@@ -26,10 +26,6 @@ val vector_to_string : bool array -> string
 (** Canonical ['0'/'1'] rendering of a flag vector — the database file
     format, also used for cache keys and determinism digests. *)
 
-val vector_of_string : string -> bool array
-(** Inverse of {!vector_to_string}.  Raises [Failure] on other
-    characters. *)
-
 val save : string -> run list -> unit
 (** Write runs to a file (overwrites).  Crash-safe: the contents go to a
     sibling [path ^ ".tmp"] file first and are renamed into place only
@@ -54,14 +50,6 @@ val test_write_failure : int option ref
 (** Test-only crash injection (the {!Toolchain.Pipeline.test_break}
     idiom): [Some n] makes {!save} raise after emitting [n] lines.  The
     atomic-save regression test uses it; leave [None] everywhere else. *)
-
-val lookup : run -> bool array -> float array option
-(** [lookup r] builds a constant-time fitness index over [r]'s entries
-    (first occurrence wins) and returns a lookup function: the recorded
-    objective vector if this exact flag vector was already evaluated in
-    the run.  The fitness-level memo layer for resumed or mined tuning
-    databases — repair-induced duplicate vectors hit it instead of
-    recompiling. *)
 
 val flag_frequency : run -> (string * float) list
 (** For each flag, the fraction of the run's top-decile (by fitness,

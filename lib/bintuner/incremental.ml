@@ -26,7 +26,5 @@ let snapshot_store t =
 
 let hits = Util.Lru.hits
 let misses = Util.Lru.misses
-let lookups t = hits t + misses t
 let evictions = Util.Lru.evictions
 let bytes = Util.Lru.weight
-let max_bytes = Util.Lru.budget

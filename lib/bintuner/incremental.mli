@@ -31,14 +31,8 @@ val hits : t -> int
 
 val misses : t -> int
 
-val lookups : t -> int
-(** [lookups t = hits t + misses t] — the conservation invariant the
-    cache tests assert. *)
-
 val evictions : t -> int
 
 val bytes : t -> int
 (** Resident payload bytes (including a fixed per-entry overhead
-    charge); never exceeds {!max_bytes}. *)
-
-val max_bytes : t -> int
+    charge); never exceeds the [max_bytes] given to {!create}. *)

@@ -35,7 +35,6 @@ let misses = Util.Lru.misses
 let evictions = Util.Lru.evictions
 let bytes = Util.Lru.weight
 let length = Util.Lru.length
-let max_bytes = Util.Lru.budget
 
 let key ~program ~profile ~arch vector =
   let bits =

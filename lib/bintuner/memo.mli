@@ -51,8 +51,7 @@ val hits : t -> int
 
 val misses : t -> int
 (** Requests that ran the compiler.  [hits t + misses t] is the total
-    number of compile requests made through [t].  (The fitness-level
-    counterpart, layered on persisted runs, is {!Database.lookup}.) *)
+    number of compile requests made through [t]. *)
 
 val evictions : t -> int
 (** Entries evicted to hold the byte budget (also counted in telemetry
@@ -60,9 +59,7 @@ val evictions : t -> int
 
 val bytes : t -> int
 (** Resident payload bytes (including a fixed per-entry overhead
-    charge); never exceeds {!max_bytes}. *)
+    charge); never exceeds the [max_bytes] given to {!create}. *)
 
 val length : t -> int
 (** Resident entries. *)
-
-val max_bytes : t -> int

@@ -109,8 +109,6 @@ let create ?(max_bytes = default_max_bytes) dir =
          else Util.Lru.add index digest cost);
   { dir; index; quarantined = Atomic.make 0; tmp_counter = Atomic.make 0 }
 
-let dir t = t.dir
-
 let key_digest key = Digest.to_hex (Digest.string key)
 
 (* Move a torn entry aside (keeping the bytes for autopsy) and drop it

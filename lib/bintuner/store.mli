@@ -26,17 +26,12 @@
 
 type t
 
-val default_max_bytes : int
-(** Byte budget used when [create]'s [?max_bytes] is omitted (256 MiB). *)
-
 val create : ?max_bytes:int -> string -> t
 (** [create dir] opens (or initializes) the store rooted at [dir],
     creating the directory if needed, sweeping crash leftovers, and
     rebuilding the LRU index from the existing shards (oldest mtime =
     first eviction victim; evicts immediately if the directory already
     exceeds the budget). *)
-
-val dir : t -> string
 
 val find : t -> string -> string option
 (** Look a key up, refreshing its recency.  [None] on a cold key, an

@@ -31,11 +31,9 @@ type options = {
   allocatable_regs : int;
   return_reg : int;
 }
-
-val default_options : options
-(** -O0-flavoured defaults: linear switches for < 4 cases else jump
-    table, no peephole, no alignment, frame pointer kept, 16 registers,
-    result in R0. *)
+(** The defaults are -O0-flavoured: linear switches for < 4 cases else
+    jump table, no peephole, no alignment, frame pointer kept, 16
+    registers, result in R0. *)
 
 exception Error of string
 

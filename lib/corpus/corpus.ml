@@ -49,8 +49,6 @@ let all =
 
 let evaluation_set = List.filter (fun b -> b.suite <> Botnet) all
 
-let botnet_set = List.filter (fun b -> b.suite = Botnet) all
-
 let find name = List.find (fun b -> b.bname = name) all
 
 (* mutex-protected: benchmarks are compiled from worker domains under

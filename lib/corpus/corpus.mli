@@ -26,9 +26,6 @@ val evaluation_set : benchmark list
 (** The 21 programs of the paper's Figure 5 evaluation (everything except
     the botnet programs). *)
 
-val botnet_set : benchmark list
-(** LightAidra, BASHLIFE, Mirai — the §5.4 / §2.4 subjects. *)
-
 val find : string -> benchmark
 (** Lookup by name.  Raises [Not_found]. *)
 

@@ -27,7 +27,11 @@ let library_names =
     "__instr_enter"; "__instr_exit";
   ]
 
-let analyze_uncached (bin : Isa.Binary.t) =
+let analyze (bin : Isa.Binary.t) =
+  Telemetry.with_span
+    ~attrs:[ ("arch", Isa.Insn.arch_name bin.Isa.Binary.arch) ]
+    "diffing.bcode.analyze"
+  @@ fun () ->
   let bfuncs = Isa.Binary.analyze bin in
   let funcs =
     List.map
@@ -77,37 +81,6 @@ let analyze_uncached (bin : Isa.Binary.t) =
       bfuncs
   in
   { binary = bin; funcs = Array.of_list funcs }
-
-(* Every diffing tool (NCD metrics, BinHunt, precision scoring, the AV
-   scanners) starts from [analyze] on the same handful of binaries within
-   one run, each re-deriving the same CFGs.  [Isa.Binary.t] is immutable
-   and the tuner holds binaries as shared values, so a tiny per-domain
-   cache keyed by physical equality removes the repeated work without any
-   hashing of the byte payload.  Keyed per domain (as with the pipeline's
-   AST digest slot) so parallel workers never contend. *)
-let memo_slots = 8
-
-let memo : (t list ref) Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-
-let analyze (bin : Isa.Binary.t) =
-  let slot = Domain.DLS.get memo in
-  match List.find_opt (fun r -> r.binary == bin) !slot with
-  | Some r ->
-    Telemetry.add_count "diffing.bcode.memo_hit";
-    r
-  | None ->
-    Telemetry.add_count "diffing.bcode.memo_miss";
-    let r =
-      Telemetry.with_span
-        ~attrs:[ ("arch", Isa.Insn.arch_name bin.Isa.Binary.arch) ]
-        "diffing.bcode.analyze"
-        (fun () -> analyze_uncached bin)
-    in
-    let keep =
-      List.filteri (fun i _ -> i < memo_slots - 1) !slot
-    in
-    slot := r :: keep;
-    r
 
 (* Constants are kept literally up to 16 bits (they survive compilation
    and are what real lexical tools anchor on); larger ones fold to a

@@ -29,10 +29,10 @@ type t = {
   funcs : func array;
 }
 
-val library_names : string list
-(** Names of the always-linked MinC stdlib functions. *)
-
 val analyze : Isa.Binary.t -> t
+(** Recovers functions, blocks and edges from the binary.  Nothing is
+    cached: each call analyses the binary again, so callers that need
+    one analysis twice hold on to the result. *)
 
 val tokens_of_insn : Isa.Insn.insn -> string list
 (** Lexical token stream of one instruction: mnemonic, register names,

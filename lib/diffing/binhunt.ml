@@ -95,7 +95,7 @@ let idf_weights (funcs : prepared list) =
    equivalent blocks; for each matched pair we try to pair up equivalent
    unmatched successors, exploring alternatives under a step budget and
    keeping the best (highest-scoring) matching found. *)
-let cfg_match_prepared ~w pa pb =
+let match_cfg ~w pa pb =
   let na = Array.length pa.pfunc.blocks and nb = Array.length pb.pfunc.blocks in
   if na = 0 || nb = 0 then (0.0, [])
   else begin
@@ -217,13 +217,8 @@ let cfg_match_prepared ~w pa pb =
     (min score 1.0, pairs)
   end
 
-let cfg_match ~ret_reg fa fb =
-  let pa = prepare ~ret_reg fa and pb = prepare ~ret_reg fb in
-  cfg_match_prepared ~w:(idf_weights [ pa; pb ]) pa pb
-
-let compare_binaries bin_a bin_b =
-  let ca = Bcode.analyze bin_a and cb = Bcode.analyze bin_b in
-  let ra = bin_a.Isa.Binary.ret_reg and rb = bin_b.Isa.Binary.ret_reg in
+let compare_analyses (ca : Bcode.t) (cb : Bcode.t) =
+  let ra = ca.binary.ret_reg and rb = cb.binary.ret_reg in
   let pa = Array.map (prepare ~ret_reg:ra) ca.funcs in
   let pb = Array.map (prepare ~ret_reg:rb) cb.funcs in
   let na = Array.length pa and nb = Array.length pb in
@@ -242,7 +237,7 @@ let compare_binaries bin_a bin_b =
     | Some r -> r
     | None ->
       let r =
-        if overlap a b then cfg_match_prepared ~w pa.(a) pb.(b) else (0.0, [])
+        if overlap a b then match_cfg ~w pa.(a) pb.(b) else (0.0, [])
       in
       Hashtbl.replace cfg_cache (a, b) r;
       r
@@ -299,5 +294,8 @@ let compare_binaries bin_a bin_b =
     matched_edges;
     total_edges = (count_edges pa, count_edges pb);
   }
+
+let compare_binaries bin_a bin_b =
+  compare_analyses (Bcode.analyze bin_a) (Bcode.analyze bin_b)
 
 let diff_score a b = (compare_binaries a b).score

@@ -25,9 +25,9 @@ type detail = {
 
 val compare_binaries : Isa.Binary.t -> Isa.Binary.t -> detail
 
+val compare_analyses : Bcode.t -> Bcode.t -> detail
+(** [compare_binaries] on binaries already analysed, for callers that
+    read the analyses too; [matched_functions] index their [funcs]. *)
+
 val diff_score : Isa.Binary.t -> Isa.Binary.t -> float
 (** Just the difference score. *)
-
-val cfg_match : ret_reg:int -> Bcode.func -> Bcode.func -> float * (int * int) list
-(** Score and block matching for one function pair (exposed for the
-    function-level tools and tests). *)

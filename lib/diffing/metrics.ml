@@ -12,8 +12,8 @@ type ratios = {
 }
 
 let compute bin_a bin_b =
-  let d = Binhunt.compare_binaries bin_a bin_b in
   let ca = Bcode.analyze bin_a and cb = Bcode.analyze bin_b in
+  let d = Binhunt.compare_analyses ca cb in
   let user funcs =
     Array.to_list funcs |> List.filter (fun f -> not f.Bcode.is_library)
   in

@@ -369,8 +369,6 @@ let fingerprint s = Hashtbl.hash (s.outputs, s.effects, s.branch)
 (* Concrete I/O sampling (Multi-MH style)                              *)
 (* ------------------------------------------------------------------ *)
 
-let nsamples = 8
-
 let rec eval_expr rng_values = function
   | Num n -> n
   | Input i ->
@@ -401,32 +399,6 @@ let rec eval_expr rng_values = function
     | _ -> Hashtbl.hash (name, h) land 0xFFFFFF)
   | Callres k -> (k * 40503) land 0xFFFF
   | Opaque h -> h land 0xFFFFFF
-
-let io_samples ~ret_reg ~seed (b : Bcode.block) =
-  let s = summarize ~ret_reg b in
-  let rng = Util.Rng.create seed in
-  Array.init nsamples (fun _ ->
-      let values = Array.init 16 (fun _ -> Util.Rng.int rng 1000) in
-      let out_hash =
-        List.fold_left
-          (fun acc (_, e) -> (acc * 1000003) + eval_expr values e)
-          0 s.outputs
-      in
-      let eff_hash =
-        List.fold_left
-          (fun acc eff ->
-            match eff with
-            | Estore (r, i, v) ->
-              (acc * 31)
-              + Hashtbl.hash (r, eval_expr values i, eval_expr values v)
-            | Epush e -> (acc * 37) + eval_expr values e
-            | Ecall f -> (acc * 41) + f
-            | Ecallr e -> (acc * 43) + eval_expr values e
-            | Eprint e -> (acc * 47) + eval_expr values e
-            | Eprintc e -> (acc * 53) + eval_expr values e)
-          out_hash s.effects
-      in
-      eff_hash land 0x3FFFFFFF)
 
 let output_prints s =
   (* summaries are already canonical per expression *)

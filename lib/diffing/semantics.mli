@@ -32,11 +32,6 @@ val same_registers : summary -> summary -> bool
 val fingerprint : summary -> int
 (** Hash usable for grouping candidate equivalent blocks. *)
 
-val io_samples : ret_reg:int -> seed:int -> Bcode.block -> int array
-(** Concretely evaluate the block's summary on [n] pseudo-random input
-    valuations (Multi-MH's basic-block sampling): returns a signature
-    vector of hashed outputs, one per sample. *)
-
 val output_prints : summary -> int list
 (** One fingerprint per canonical output expression / observable effect —
     a finer-grained unit than whole blocks, robust to block merging. *)

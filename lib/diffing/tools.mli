@@ -31,20 +31,6 @@ type tool = {
 
 val asm2vec : tool
 
-val innereye : tool
-
-val vulseeker : tool
-
-val bindiff : tool
-
-val binslayer : tool
-
-val cop : tool
-
-val multimh : tool
-
-val imfsim : tool
-
 val all : tool list
 (** The seven comparison tools of Figure 8 (BinDiff is used by
     BinSlayer and reported separately in some experiments). *)

@@ -49,9 +49,6 @@ val flow : Insn.insn -> next:int -> int list * bool
 val analyze : t -> bfunc list
 (** Disassemble and reconstruct every function's CFG. *)
 
-val analyze_function : t -> int -> bfunc
-(** Analyze a single function by id. *)
-
 val code_of_function : t -> int -> string
 (** Raw bytes of one function's body (for per-function NCD). *)
 

@@ -13,12 +13,6 @@
 
 exception Error of string
 
-val builtins : (string * int) list
-(** Built-in functions handled directly by the compiler backend:
-    name and arity.  [print_int x] and [print_char c] append to the
-    program's output stream; [input i] reads word [i] of the input
-    workload; [input_len ()] is its length. *)
-
 val link_stdlib : Ast.program -> Ast.program
 (** Append the {!Stdlib_src} functions and globals that the program does
     not itself define. *)

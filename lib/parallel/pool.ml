@@ -167,6 +167,3 @@ let map ?chunk_size pool f xs =
 
 let map_list ?chunk_size pool f l =
   Array.to_list (map ?chunk_size pool f (Array.of_list l))
-
-let map_reduce ?chunk_size pool ~map:f ~fold ~init xs =
-  Array.fold_left fold init (map ?chunk_size pool f xs)

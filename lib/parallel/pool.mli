@@ -51,18 +51,6 @@ val map : ?chunk_size:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 val map_list : ?chunk_size:int -> t -> ('a -> 'b) -> 'a list -> 'b list
 (** List version of {!map}; same guarantees. *)
 
-val map_reduce :
-  ?chunk_size:int ->
-  t ->
-  map:('a -> 'b) ->
-  fold:('acc -> 'b -> 'acc) ->
-  init:'acc ->
-  'a array ->
-  'acc
-(** [map_reduce pool ~map ~fold ~init xs] maps in parallel, then folds
-    the results {e sequentially in input order} — the fold is therefore
-    deterministic even when [fold] is not associative. *)
-
 val shutdown : t -> unit
 (** Terminate the worker domains and join them.  Idempotent.  Using the
     pool after [shutdown] runs inline. *)

@@ -5,7 +5,7 @@ type label = {
 
 type model = {
   centroids : (label * float array) list;
-  mutable threshold : float;
+  threshold : float;
 }
 
 (* The feature extractor lives in the binary static-analysis layer; the
@@ -68,4 +68,3 @@ let classify model bin =
       ({ profile = lbl.profile; preset = "non-default" }, d)
     else (lbl, d)
 
-let set_threshold model t = model.threshold <- t

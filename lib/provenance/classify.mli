@@ -26,7 +26,3 @@ val train : (label * Isa.Binary.t) list -> model
 val classify : model -> Isa.Binary.t -> label * float
 (** Best label and its distance; the label's [preset] is ["non-default"]
     when no centroid is close enough. *)
-
-val set_threshold : model -> float -> unit
-(** Override the non-default rejection threshold (calibrated during
-    training to the 95th percentile of in-class distances). *)

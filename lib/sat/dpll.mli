@@ -19,16 +19,9 @@ type result =
   | Sat of bool array  (** A satisfying assignment indexed by variable. *)
   | Unsat
 
-val var : literal -> int
-(** Underlying variable of a literal. *)
-
-val negate : literal -> literal
-
-val eval_clause : bool array -> clause -> bool
-(** [eval_clause assignment c] — true iff some literal is satisfied. *)
-
 val eval : bool array -> cnf -> bool
-(** Evaluate a full CNF under a total assignment. *)
+(** Evaluate a full CNF under a total assignment: true iff every clause
+    has a satisfied literal. *)
 
 val solve : ?nvars:int -> cnf -> result
 (** Decide satisfiability.  [nvars] (default: 1 + max variable mentioned)

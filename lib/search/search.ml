@@ -9,8 +9,6 @@ module Engine = Engine
 module Objective = Objective
 module Pareto = Pareto
 module Genetic = Genetic
-module Local = Local
-module Baseline = Baseline
 module Ensemble = Ensemble
 
 type problem = Strategy.problem = {

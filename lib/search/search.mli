@@ -91,7 +91,13 @@ type strategy = (module STRATEGY)
 val name : strategy -> string
 
 val all_names : string list
-(** Registry order: ["ga"; "hill"; "anneal"; "random"; "ensemble"]. *)
+(** Registry order: ["ga"; "hill"; "anneal"; "random"; "ensemble"].
+    [hill] is steepest-ascent hill climbing with random restarts (each
+    ask is the full single-bit-flip neighbourhood); [anneal] is
+    simulated annealing (each ask is 8 proposals from the current point;
+    Metropolis acceptance replayed in proposal order over a geometric
+    temperature schedule driven by budget progress); [random] is the
+    control baseline. *)
 
 val of_name : string -> strategy
 (** Look up a registered strategy (default parameters).
@@ -144,12 +150,6 @@ val run :
     and [evasion]). *)
 module Objective : sig
   type axis = Ncd | Gadgets | Size | Evasion
-
-  val all_axes : axis list
-  val axis_name : axis -> string
-
-  val axis_of_name : string -> axis
-  (** @raise Invalid_argument on an unknown name. *)
 
   type spec = (axis * float) list
   (** Ordered (axis, weight) pairs; the order fixes the meaning of every
@@ -206,9 +206,8 @@ end
 module Pareto : sig
   type t
 
-  val default_bound : int
-
   val create : ?bound:int -> unit -> t
+  (** An empty archive of at most [bound] points (default 64). *)
 
   val size : t -> int
 
@@ -246,21 +245,6 @@ module Genetic : sig
 
   val default_params : params
   val strategy : ?params:params -> unit -> strategy
-end
-
-(** Batched local search: steepest-ascent hill climbing with random
-    restarts (each ask is the full single-bit-flip neighbourhood) and
-    simulated annealing (each ask is 8 proposals from the current
-    point; Metropolis acceptance replayed in proposal order over a
-    geometric temperature schedule driven by budget progress). *)
-module Local : sig
-  val hill_climb : unit -> strategy
-  val anneal : unit -> strategy
-end
-
-(** Random search — the control baseline. *)
-module Baseline : sig
-  val random : unit -> strategy
 end
 
 (** OpenTuner-style AUC-bandit meta-strategy: allocates each

@@ -7,10 +7,6 @@
     them; repair keeps the population size stable and is strictly more
     search-efficient). *)
 
-val cnf_of : Flags.profile -> Sat.Dpll.cnf
-(** One clause per rule: [Requires (a, b)] ↦ (¬a ∨ b);
-    [Conflicts (a, b)] ↦ (¬a ∨ ¬b).  Variables are flag indices. *)
-
 val valid : Flags.profile -> bool array -> bool
 (** Check a complete vector against the rules via
     {!Sat.Dpll.solve_with_assumptions} with every flag bit assumed. *)

@@ -15,10 +15,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val escape : string -> string
-(** JSON string-body escaping (quotes, backslash, control characters);
-    no surrounding quotes. *)
-
 val to_string : t -> string
 (** Compact rendering: no whitespace outside strings. *)
 

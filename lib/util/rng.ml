@@ -32,10 +32,6 @@ let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   v /. 9007199254740992.0 *. bound
 
-let pick t arr =
-  assert (Array.length arr > 0);
-  arr.(int t (Array.length arr))
-
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in

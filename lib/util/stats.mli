@@ -7,9 +7,6 @@ val median : float list -> float
 (** Median (average of the two middle elements for even lengths); 0.0 on the
     empty list. *)
 
-val stddev : float list -> float
-(** Population standard deviation; 0.0 for fewer than two samples. *)
-
 val min_max_median : float list -> float * float * float
 (** [(min, max, median)] triple, as reported in the paper's Table 1. *)
 

@@ -1,8 +1,8 @@
 (* Binary static-analysis subsystem (lib/binsight) tests: the
    corpus-wide disassembler differential, the gadget-census DP vs its
    brute-force reference on fuzzed programs, frozen golden digests of
-   the inspect JSON, stack-bound sanity, the Bcode analysis memo and
-   the provenance feature-vector parity. *)
+   the inspect JSON, stack-bound sanity and the provenance
+   feature-vector parity. *)
 
 let archs = [ Isa.Insn.X86_64; Isa.Insn.X86_32; Isa.Insn.Arm; Isa.Insn.Mips ]
 
@@ -108,21 +108,6 @@ let test_stack_bounds_finite () =
         archs)
     [ "462.libquantum"; "429.mcf" ]
 
-(* Re-analysing the same binary value must hit the per-domain memo and
-   return the cached record itself. *)
-let test_bcode_memo () =
-  let b = Corpus.find "462.libquantum" in
-  let bin =
-    Toolchain.Pipeline.compile_preset Toolchain.Flags.gcc "O2"
-      (Corpus.program b)
-  in
-  let a1 = Diffing.Bcode.analyze bin in
-  let a2 = Diffing.Bcode.analyze bin in
-  Alcotest.(check bool) "second analyze is memo-served" true (a1 == a2);
-  Alcotest.(check bool)
-    "analysis belongs to the binary" true
-    (a1.Diffing.Bcode.binary == bin)
-
 (* The provenance classifier's feature extractor is the binsight one. *)
 let test_provenance_parity () =
   let b = Corpus.find "openssl" in
@@ -147,7 +132,6 @@ let tests =
       test_golden_digests;
     Alcotest.test_case "stack bounds finite on corpus" `Quick
       test_stack_bounds_finite;
-    Alcotest.test_case "bcode analysis memo" `Quick test_bcode_memo;
     Alcotest.test_case "provenance feature parity" `Quick
       test_provenance_parity;
   ]

@@ -201,6 +201,26 @@ let test_metrics_ratios () =
   Alcotest.(check int) "self matches all blocks" self.blocks_a
     self.matched_blocks
 
+(* No diffing result depends on which binary value it is handed: two
+   compiles of one preset are equal in content but distinct values, and
+   every result for the pair equals the one for a single value passed
+   twice. *)
+let test_results_independent_of_binary_value () =
+  let a = compile ~preset:"O2" "462.libquantum" in
+  let a' = compile ~preset:"O2" "462.libquantum" in
+  let o0 = compile ~preset:"O0" "462.libquantum" in
+  Alcotest.(check bool) "equal content" true (a = a');
+  Alcotest.(check bool) "distinct values" false (a == a');
+  Alcotest.(check bool) "binhunt pair = same value" true
+    (Diffing.Binhunt.compare_binaries a a'
+    = Diffing.Binhunt.compare_binaries a a);
+  Alcotest.(check (float 0.0)) "binhunt against O0"
+    (Diffing.Binhunt.diff_score a o0) (Diffing.Binhunt.diff_score a' o0);
+  Alcotest.(check bool) "metrics pair = same value" true
+    (Diffing.Metrics.compute a a' = Diffing.Metrics.compute a a);
+  Alcotest.(check bool) "precision pair = same value" true
+    (Diffing.Precision.evaluate_all a a' = Diffing.Precision.evaluate_all a a)
+
 let tests =
   [
     Alcotest.test_case "assignment simple" `Quick test_assignment_simple;
@@ -220,4 +240,6 @@ let tests =
     Alcotest.test_case "tools self similarity" `Quick test_tools_self_similarity;
     Alcotest.test_case "precision degrades" `Quick test_precision_degrades_with_optimization;
     Alcotest.test_case "metrics ratios" `Quick test_metrics_ratios;
+    Alcotest.test_case "results independent of binary value" `Quick
+      test_results_independent_of_binary_value;
   ]

@@ -3,7 +3,7 @@
    Two kinds of guarantees are locked down here:
 
    1. [Parallel.Pool] mechanics: ordering, empty input, exception
-      propagation, nested-map re-entrancy, deterministic map_reduce.
+      propagation, nested-map re-entrancy.
 
    2. The engine-level determinism contract: for real corpus benchmarks
       under both compiler profiles, [Tuner.tune ~j:1] and
@@ -74,22 +74,6 @@ let test_pool_nested_map_inlines () =
         "nested sums"
         (Array.init 6 (fun base -> (base * 50) + 10))
         result)
-
-let test_pool_map_reduce () =
-  Parallel.Pool.with_pool 4 (fun pool ->
-      let xs = Array.init 64 (fun i -> i) in
-      (* non-associative, non-commutative fold: only the sequential
-         input-order fold produces this value *)
-      let expected =
-        Array.fold_left (fun acc x -> (acc * 31) + x) 17
-          (Array.map (fun i -> i * 3) xs)
-      in
-      Alcotest.(check int)
-        "ordered fold" expected
-        (Parallel.Pool.map_reduce ~chunk_size:5 pool
-           ~map:(fun i -> i * 3)
-           ~fold:(fun acc x -> (acc * 31) + x)
-           ~init:17 xs))
 
 let test_pool_sequential_degenerate () =
   (* size-1 pools and shutdown pools run inline with the same results *)
@@ -261,7 +245,6 @@ let tests =
     Alcotest.test_case "pool empty/singleton" `Quick test_pool_empty_and_singleton;
     Alcotest.test_case "pool exceptions" `Quick test_pool_exception_propagation;
     Alcotest.test_case "pool nested map" `Quick test_pool_nested_map_inlines;
-    Alcotest.test_case "pool map_reduce" `Quick test_pool_map_reduce;
     Alcotest.test_case "pool degenerate" `Quick test_pool_sequential_degenerate;
     Alcotest.test_case "pool submitter helps" `Quick test_pool_submitter_helps;
     Alcotest.test_case "pool live-domain accounting" `Quick

@@ -25,9 +25,11 @@
 #   7. static-analysis gate — the IR verifier must accept every pass of a
 #      corpus-wide compile sweep (presets × profiles × archs × random
 #      valid flag vectors), the pedantic lint must report nothing beyond
-#      tools/lint_allowlist.txt, and a one-benchmark fig5 run with
-#      -verify (the between-pass verifier on the bench hot path) must
-#      succeed;
+#      tools/lint_allowlist.txt, tools/exports.sh must find no exported
+#      value without an outside caller beyond tools/exports_allowlist.txt
+#      (and every allowlist line must still be a finding), and a
+#      one-benchmark fig5 run with -verify (the between-pass verifier on
+#      the bench hot path) must succeed;
 #   8. binary insight gate — `inspect --all --arch all` re-disassembles
 #      every corpus binary on every arch by recursive descent and the
 #      result must agree exactly with the linear sweep and with the
@@ -38,7 +40,9 @@
 #   9. strategy smoke gate — every registered search strategy (ga, hill,
 #      anneal, random, ensemble) must complete a small CLI tune within
 #      its evaluation budget, and the GA-through-the-framework table1 run
-#      is already pinned to the frozen greedy sentinel by step 4;
+#      is already pinned to the frozen greedy sentinel by step 4; a tune
+#      with a malformed --db database must fail before searching (non-zero
+#      exit, stderr naming the file, no `tuned` line);
 #  10. search microbench smoke — the `search` experiment must emit a
 #      parseable BENCH_search.json covering all five strategies, each
 #      within the declared budget, and the hill incremental-compilation
@@ -167,6 +171,17 @@ dune exec bin/bintuner_cli.exe -- verify > /dev/null \
   || { echo "ci: FAIL — IR verification sweep found a broken pass" >&2; exit 1; }
 dune exec bin/bintuner_cli.exe -- analyze --allowlist tools/lint_allowlist.txt > /dev/null \
   || { echo "ci: FAIL — lint reported findings beyond tools/lint_allowlist.txt" >&2; exit 1; }
+exports_dir=$(mktemp -d)
+tools/exports.sh > "$exports_dir/found"
+grep -v '^#' tools/exports_allowlist.txt | sed '/^[[:space:]]*$/d' | sort > "$exports_dir/allowed"
+if ! cmp -s "$exports_dir/found" "$exports_dir/allowed"; then
+  comm -23 "$exports_dir/found" "$exports_dir/allowed" | sed 's/^/  no outside caller: /' >&2
+  comm -13 "$exports_dir/found" "$exports_dir/allowed" | sed 's/^/  stale allowlist line: /' >&2
+  rm -rf "$exports_dir"
+  echo "ci: FAIL — tools/exports.sh findings differ from tools/exports_allowlist.txt" >&2
+  exit 1
+fi
+rm -rf "$exports_dir"
 # the verifier on the bench hot path: must check every pass without
 # changing any result
 dune exec bench/main.exe -- -quick -j 2 -only coreutils -verify fig5 > /dev/null \
@@ -245,6 +260,18 @@ for s in ga hill anneal random ensemble; do
   [ "$iters" -ge 1 ] && [ "$iters" -le "$strategy_budget" ] \
     || { echo "ci: FAIL — strategy $s ran $iters iterations against budget $strategy_budget" >&2; exit 1; }
 done
+db_dir=$(mktemp -d)
+echo "garbage line" > "$db_dir/bad.db"
+if dune exec bin/bintuner_cli.exe -- tune --bench 462.libquantum \
+     --max-iterations 8 --db "$db_dir/bad.db" > "$db_dir/out" 2> "$db_dir/err"; then
+  echo "ci: FAIL — tune accepted a malformed --db" >&2; exit 1
+fi
+grep -qF "$db_dir/bad.db" "$db_dir/err" \
+  || { echo "ci: FAIL — malformed --db error does not name the file" >&2; exit 1; }
+if grep -q '^tuned ' "$db_dir/out"; then
+  echo "ci: FAIL — tune searched before rejecting a malformed --db" >&2; exit 1
+fi
+rm -rf "$db_dir"
 
 echo "== ci: search microbench smoke =="
 search_dir=$(mktemp -d)
