@@ -1518,8 +1518,8 @@ let usage () =
      \               generations, pool chunks, fitness/BinHunt spans)\n\
      \               to FILE as ndjson\n\
      \  -profile     print an aggregated telemetry summary at exit,\n\
-     \               including the paper's §4.2 compile/NCD/BinHunt\n\
-     \               cost split\n\
+     \               including the paper's §4.2 compile/NCD/BinHunt/\n\
+     \               functional-check cost split\n\
      \  -only NAME   restrict the sweep experiments (fig5, table1,\n\
      \               table3, table78) to benchmark NAME (repeatable)\n\
      \  -lz-level L  match-finder level for the NCD fitness kernel:\n\

@@ -145,7 +145,7 @@ let tune_cmd =
          & info [ "perf-profile" ]
              ~doc:
                "Print an aggregated telemetry summary after tuning, including \
-                the compile/NCD/BinHunt cost split.")
+                the compile/NCD/BinHunt/functional-check cost split.")
   in
   let incremental =
     Arg.(value & opt bool true

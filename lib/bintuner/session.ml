@@ -123,45 +123,105 @@ let unexpected () = invalid_arg "Session: final-selection cache kind mismatch"
 (* The baseline's outputs are computed once per (baseline, inputs) pair
    and each verdict once per (baseline, candidate, inputs) triple; the
    inputs digest is in every key, since two programs can compile to equal
-   O0 bytes yet ship different workloads.  A trapping or non-terminating
-   run raises out of [Util.Lru.find_or_add], which then caches
-   nothing. *)
-let functional_check check (bench : Corpus.benchmark) ~baseline =
+   O0 bytes yet ship different workloads.  The VM runs a check misses
+   (the baseline's, if its outputs are missing, and each missing
+   candidate's) go to the pool as one batch, every binary prepared once.
+   The verdicts are then read in candidate order, and the first run that
+   trapped or ran out of fuel, in that order, is raised; nothing that
+   depends on it is cached. *)
+let functional_check check ~pool (bench : Corpus.benchmark) ~baseline bins =
   let base = content_digest baseline ^ content_digest bench.workloads in
-  let reference () =
-    match
-      Util.Lru.find_or_add check ("ref|" ^ base) (fun () ->
-          Reference
-            (List.map
-               (fun input ->
-                 let r = Vm.Machine.run baseline ~input in
-                 (r.Vm.Machine.output, r.return_value))
-               bench.workloads))
-    with
-    | Reference outs -> outs
-    | _ -> unexpected ()
+  let ref_key = "ref|" ^ base in
+  let find key kind = Option.map kind (Util.Lru.find check key) in
+  let verdict = function Verdict ok -> ok | _ -> unexpected () in
+  (* each distinct candidate once, in order, with its cached verdict *)
+  let candidates =
+    List.fold_left
+      (fun acc bin ->
+        let key = "ok|" ^ base ^ content_digest bin in
+        if List.mem_assoc key acc then acc else (key, bin) :: acc)
+      [] bins
+    |> List.rev_map (fun (key, bin) -> (key, bin, find key verdict))
   in
-  fun bin ->
-    match
-      Util.Lru.find_or_add check ("ok|" ^ base ^ content_digest bin) (fun () ->
-          Verdict
-            (List.for_all2
-               (fun input (output, return_value) ->
-                 let r = Vm.Machine.run bin ~input in
-                 r.Vm.Machine.output = output && r.return_value = return_value)
-               bench.workloads (reference ())))
-    with
-    | Verdict ok -> ok
-    | _ -> unexpected ()
+  let missing = List.filter (fun (_, _, cached) -> cached = None) candidates in
+  let reference =
+    if missing = [] then None
+    else find ref_key (function Reference outs -> outs | _ -> unexpected ())
+  in
+  (* the binaries to run, under the key each one decides *)
+  let to_run =
+    (if missing <> [] && reference = None then [ (ref_key, baseline) ] else [])
+    @ List.map (fun (key, bin, _) -> (key, bin)) missing
+  in
+  let runs =
+    if to_run = [] then []
+    else
+      Telemetry.with_span "tuner.check" (fun () ->
+          let items =
+            List.concat_map
+              (fun (_, bin) ->
+                let p =
+                  match Vm.Machine.prepare bin with
+                  | p -> Ok p
+                  | exception e -> Error e
+                in
+                List.map (fun input -> (p, input)) bench.workloads)
+              to_run
+          in
+          let outcomes =
+            Parallel.Pool.map ~chunk_size:1 pool
+              (fun (p, input) ->
+                Result.bind p (fun p ->
+                    match Vm.Machine.execute p ~input with
+                    | r -> Ok (r.Vm.Machine.output, r.return_value)
+                    | exception e -> Error e))
+              (Array.of_list items)
+          in
+          let n = List.length bench.workloads in
+          List.mapi
+            (fun k (key, _) ->
+              (key, Array.to_list (Array.sub outcomes (k * n) n)))
+            to_run)
+  in
+  let get = function Ok o -> o | Error e -> raise e in
+  let reference =
+    lazy
+      (match reference with
+      | Some outs -> outs
+      | None ->
+        let outs = List.map get (List.assoc ref_key runs) in
+        Util.Lru.add check ref_key (Reference outs);
+        outs)
+  in
+  List.for_all
+    (fun (key, _, cached) ->
+      match cached with
+      | Some ok -> ok
+      | None ->
+        let ok =
+          List.for_all2
+            (fun expected run -> get run = expected)
+            (Lazy.force reference) (List.assoc key runs)
+        in
+        Util.Lru.add check key (Verdict ok);
+        ok)
+    candidates
 
 let diff_score check ~baseline =
   let base = content_digest baseline in
+  (* the baseline is analysed once, by the first miss, and shared by
+     every comparison after it; the lock keeps two domains from forcing
+     it at once *)
+  let analysis = lazy (Diffing.Bcode.analyze baseline) in
+  let lock = Mutex.create () in
   fun bin ->
     match
       Util.Lru.find_or_add check ("bh|" ^ content_digest bin ^ base) (fun () ->
           Diff_score
             (Telemetry.with_span "tuner.binhunt" (fun () ->
-                 Diffing.Binhunt.diff_score bin baseline)))
+                 (Diffing.Binhunt.compare_analyses (Diffing.Bcode.analyze bin)
+                    (Mutex.protect lock (fun () -> Lazy.force analysis)))
+                   .score)))
     with
     | Diff_score score -> score
     | _ -> unexpected ()

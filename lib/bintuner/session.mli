@@ -88,21 +88,30 @@ val create_check : unit -> check
 (** A fresh final-selection cache owned by no session. *)
 
 val functional_check :
-  check -> Corpus.benchmark -> baseline:Isa.Binary.t -> Isa.Binary.t -> bool
-(** [functional_check c bench ~baseline bin] — whether [bin] produces the
-    same output stream and exit value as the O0 [baseline] on every one
-    of [bench]'s workload inputs in the VM.  The baseline's outputs are
-    computed once per (baseline, inputs) pair and the verdict once per
-    (baseline, candidate, inputs) triple, so a repeat call runs no VM.
-    Equal to the direct [List.for_all] over the workloads.  A trapping or
-    non-terminating run raises {!Vm.Machine.Trap} or
-    {!Vm.Machine.Out_of_fuel}, on every call.  Partially applied to
-    [~baseline], it digests the baseline once for every candidate. *)
+  check ->
+  pool:Parallel.Pool.t ->
+  Corpus.benchmark ->
+  baseline:Isa.Binary.t ->
+  Isa.Binary.t list ->
+  bool
+(** [functional_check c ~pool bench ~baseline bins] — whether every
+    binary of [bins] produces the same output stream and exit value as
+    the O0 [baseline] on every one of [bench]'s workload inputs in the
+    VM.  The baseline's outputs are computed once per (baseline, inputs)
+    pair and each verdict once per (baseline, candidate, inputs) triple,
+    so a repeat call runs no VM.  The runs a call misses, the baseline's
+    included, are one batch across [pool], each binary prepared once
+    ({!Vm.Machine.prepare}) and the batch under a [tuner.check] span.
+    Equal to the direct [List.for_all] over [bins] and the workloads,
+    read in that order: a trapping or non-terminating run raises
+    {!Vm.Machine.Trap} or {!Vm.Machine.Out_of_fuel} when that direct
+    check would reach it, on every call. *)
 
 val diff_score : check -> baseline:Isa.Binary.t -> Isa.Binary.t -> float
 (** [diff_score c ~baseline bin] = [Diffing.Binhunt.diff_score bin
     baseline], computed once per pair of contents.  Partially applied
-    to [~baseline], it digests the baseline once for every candidate. *)
+    to [~baseline], it digests the baseline once for every candidate,
+    and analyses it once, on the first miss, for every comparison. *)
 
 val check_counters : check -> (string * int) list
 (** [check.hit], [check.miss], [check.evict] of one final-selection

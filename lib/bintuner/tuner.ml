@@ -62,20 +62,27 @@ let tune ?(arch = Isa.Insn.X86_64) ?(termination = Search.default_termination)
     ~(profile : Toolchain.Flags.profile) (bench : Corpus.benchmark) =
   let t0 = Unix.gettimeofday () in
   if objectives = [] then invalid_arg "Tuner.tune: empty objective spec";
-  (* a one-shot call is a throwaway session: its caches (and its pool,
-     unless the caller passed one) live exactly as long as the call *)
-  let throwaway = Option.is_none session in
-  let session =
+  if Option.is_some session && Option.is_some pool then
+    invalid_arg "Tuner.tune: pass ~pool or ~session, not both";
+  (* a one-shot call is a throwaway session: its caches live exactly as
+     long as the search and final selection, and a pool it had to make
+     itself until the functional check is done *)
+  let owned_pool, pool =
     match (session, pool) with
-    | None, _ -> Session.create ?pool ()
-    | Some s, None -> s
-    | Some _, Some _ -> invalid_arg "Tuner.tune: pass ~pool or ~session, not both"
+    | None, None ->
+      let p = Parallel.Pool.create 1 in
+      (Some p, Some p)
+    | _ -> (None, pool)
+  in
+  Fun.protect ~finally:(fun () -> Option.iter Parallel.Pool.shutdown owned_pool)
+  @@ fun () ->
+  let session =
+    match session with Some s -> s | None -> Session.create ?pool ()
   in
   (* search and final selection on the session; what is left, the
-     functional check, comes back as a closure to run after the close *)
+     functional check, comes back as a closure that no longer holds
+     it *)
   let finish =
-    Fun.protect ~finally:(fun () -> if throwaway then Session.close session)
-    @@ fun () ->
   let pool = Session.pool session in
   (* shared caches carry traffic from earlier jobs; snapshot the counters
      before this call's first compile (the O0 baseline) so the result
@@ -305,15 +312,16 @@ let tune ?(arch = Isa.Insn.X86_64) ?(termination = Search.default_termination)
   in
   let counters_at_close = Session.counters session in
   let check = Session.check session in
-  let functional = Session.functional_check check bench ~baseline in
   (* The VM check runs once the call has let go of the session: this
-     closure holds the final-selection cache but not the session, so the
-     caches of a throwaway session (tens of MB of IR snapshots) are
-     garbage by then rather than live through the check.  The counter
-     deltas are taken after it, so they include its traffic. *)
+     closure holds the final-selection cache and the pool but not the
+     session, so the caches of a throwaway session (tens of MB of IR
+     snapshots) are garbage by then rather than live through the check.
+     The counter deltas are taken after it, so they include its
+     traffic. *)
   fun () ->
     let functional_ok =
-      functional result.best_binary && functional result.refined_binary
+      Session.functional_check check ~pool bench ~baseline
+        [ result.best_binary; result.refined_binary ]
     in
     let now = Session.check_counters check in
     let counters =

@@ -49,10 +49,11 @@ type result = {
   wall_seconds : float;  (** wall-clock (not CPU) duration of the run *)
   functional_ok : bool;
       (** both [best_binary] and [refined_binary] pass every test
-          workload: {!Session.functional_check} on each, through the
-          session's final-selection cache.  When the two binaries are equal the
-          second verdict is a cache hit, and a warm repeat of a job the
-          session has already checked runs no VM at all *)
+          workload: one {!Session.functional_check} of the two, through
+          the session's final-selection cache and across the call's
+          pool.  When the two binaries are equal they are checked once,
+          and a warm repeat of a job the session has already checked
+          runs no VM at all *)
   counters : (string * int) list;
       (** this call's cache traffic: the {!Session.counters} names, in
           their order, as deltas over the call (from before its O0
@@ -116,9 +117,9 @@ val tune :
     {!Search.Genetic.default_params}; build one with
     {!Search.Genetic.strategy} to parameterize the GA).  The call runs
     on its session's pool.  [pool] only seeds a throwaway session; when
-    it is omitted too, that session's pool has size 1 and is shut down on
-    every exit, normal or exceptional.  Passing both [pool] and
-    [session] raises [Invalid_argument].
+    it is omitted too, the call makes a pool of size 1 and shuts it down
+    on every exit, normal or exceptional, after the functional check.
+    Passing both [pool] and [session] raises [Invalid_argument].
 
     [incremental] (default on) shares one {!Incremental} pass-prefix
     snapshot store across every compile of the run, so candidates
@@ -132,12 +133,13 @@ val tune :
     (when attached) persistent artifact store serve the call, so
     successive jobs over the same corpus hit each other's entries.
     Without one, the call runs on a throwaway session created with
-    [pool] and closed on return — one-shot tuning and serving are one
-    code path.  Lossless like every cache here — a warm-session result is
-    bit-identical to a cold one-shot result (the serve differential test
-    pins this); [counters] are per-call {e deltas}, so they mean the same
-    thing either way.  A session created with [~memo_max_bytes:0] runs
-    every compile request through the pipeline.
+    [pool] and dropped before the functional check — one-shot tuning
+    and serving are one code path.  Lossless like every cache here — a
+    warm-session result is bit-identical to a cold one-shot result (the
+    serve differential test pins this); [counters] are per-call
+    {e deltas}, so they mean the same thing either way.  A session
+    created with [~memo_max_bytes:0] runs every compile request through
+    the pipeline.
 
     The fitness compresses at {!Compress.Lz.default_level}, which the
     CLI and bench driver's [--lz-level] set before tuning.  A session

@@ -356,17 +356,18 @@ let imf_nprobes = 6
    at the binary level, so IMF-SIM probes with a fixed-width argument
    frame, exactly like the original's register/stack seeding. *)
 let imfsim_sigs (c : Bcode.t) =
-  let bin = c.binary in
+  (* one decode for every probe of every function; the text decoded
+     when [c] was analysed, so [prepare] does not trap *)
+  let call =
+    Vm.Machine.execute_function ~fuel:60_000 (Vm.Machine.prepare c.binary)
+  in
   Array.mapi
     (fun fid (_ : Bcode.func) ->
       let rng = Util.Rng.create 4242 in
       List.init imf_nprobes (fun _ ->
           let args = List.init 4 (fun _ -> Util.Rng.int rng 64) in
           try
-            let r =
-              Vm.Machine.run_function ~fuel:60_000 bin ~fid ~args
-                ~input:[| 5; 9 |]
-            in
+            let r = call ~fid ~args ~input:[| 5; 9 |] in
             List.fold_left
               (fun acc o ->
                 (acc * 1000003)

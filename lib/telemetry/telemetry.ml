@@ -334,20 +334,18 @@ let summary t =
       match Hashtbl.find_opt t.spans name with Some s -> s.total | None -> 0.0
     in
     let present name = Hashtbl.mem t.spans name in
-    let compile = sec "tuner.compile"
-    and ncd = sec "tuner.ncd"
-    and binhunt = sec "tuner.binhunt" in
-    let measured = compile +. ncd +. binhunt in
+    let layers = [ "compile"; "ncd"; "binhunt"; "check" ] in
+    let secs = List.map (fun l -> sec ("tuner." ^ l)) layers in
+    let measured = List.fold_left ( +. ) 0.0 secs in
     let denom = if measured > 0.0 then measured else 1.0 in
-    if present "tuner.compile" || present "tuner.ncd" || present "tuner.binhunt"
-    then
+    if List.exists (fun l -> present ("tuner." ^ l)) layers then
       Buffer.add_string b
         (Printf.sprintf
-           "-- cost split (paper §4.2) --\n\
-            compile %.1f%%  ncd %.1f%%  binhunt %.1f%%  (of %.2fs measured)\n"
-           (100.0 *. compile /. denom)
-           (100.0 *. ncd /. denom)
-           (100.0 *. binhunt /. denom)
+           "-- cost split (paper §4.2) --\n%s  (of %.2fs measured)\n"
+           (String.concat "  "
+              (List.map2
+                 (fun l s -> Printf.sprintf "%s %.1f%%" l (100.0 *. s /. denom))
+                 layers secs))
            measured);
     (* per-domain busy time for the worker pool: the busy/idle picture *)
     (match Hashtbl.find_opt t.spans "pool.chunk" with

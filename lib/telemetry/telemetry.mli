@@ -87,9 +87,10 @@ val span_seconds : t -> string -> float
 val summary : t -> string
 (** Human-readable report: per-span call counts / total / mean / max /
     wall share (spans nest, so shares need not sum to 100%), counters,
-    gauges, the paper-§4.2 compile/NCD/BinHunt cost split (when the
-    [tuner.*] spans are present), and per-domain busy/idle time for the
-    worker pool (when [pool.chunk] spans are present). *)
+    gauges, the paper-§4.2 compile/NCD/BinHunt/functional-check cost
+    split (when the [tuner.*] spans are present), and per-domain
+    busy/idle time for the worker pool (when [pool.chunk] spans are
+    present). *)
 
 val flush : t -> unit
 (** Flush a [Channel] sink. *)

@@ -23,22 +23,39 @@ type result = {
 
 exception Trap of string
 (** Invalid memory access (any stack access outside
-    [\[0, stack_words)] included), bad jump target, stack overflow;
-    division is handled per MinC semantics (never traps). *)
+    [\[0, stack_words)] included), bad jump target, stack overflow,
+    undecodable text or an operand the binary does not have; division is
+    handled per MinC semantics (never traps).  These and {!Out_of_fuel}
+    are the only exceptions a run raises, whatever the binary's bytes. *)
 
 exception Out_of_fuel
 
-val run :
-  ?fuel:int -> ?stack_words:int -> Isa.Binary.t -> input:int array -> result
+type prepared
+(** A binary decoded once for any number of runs: its text as an
+    instruction array, with branch, call and [la] targets resolved to
+    instruction indices, data symbols to their base words and registers
+    checked against the machine's.  Immutable, so runs on several
+    domains may share one; each run copies the data image and holds its
+    own stack. *)
+
+val prepare : Isa.Binary.t -> prepared
+(** Decode and resolve a binary.  Raises {!Trap} when the text does not
+    decode.  An operand out of range (a register, vector register, data
+    symbol or function id the binary does not have) or a branch to an
+    offset that starts no instruction is not an error yet: the
+    instruction traps when a run executes it. *)
+
+val execute :
+  ?fuel:int -> ?stack_words:int -> prepared -> input:int array -> result
 (** Execute from the binary's entry function.  Default fuel 100 million
     instructions, default stack limit 1 Mi words.  A run that returns
     adds 1 to the telemetry counter [vm.runs] and its step count to
     [vm.steps]. *)
 
-val run_function :
+val execute_function :
   ?fuel:int ->
   ?stack_words:int ->
-  Isa.Binary.t ->
+  prepared ->
   fid:int ->
   args:int list ->
   input:int array ->
@@ -48,3 +65,7 @@ val run_function :
     [args] are the call's stack arguments in call order: the first binds
     the function's first parameter, as in a call [f(a, b)] compiled from
     source. *)
+
+val run :
+  ?fuel:int -> ?stack_words:int -> Isa.Binary.t -> input:int array -> result
+(** [execute] of [prepare bin]. *)

@@ -106,8 +106,11 @@ let test_cost_split_in_summary () =
   ignore (Telemetry.span t "tuner.compile" (fun () -> ()));
   ignore (Telemetry.span t "tuner.ncd" (fun () -> ()));
   ignore (Telemetry.span t "tuner.binhunt" (fun () -> ()));
+  ignore (Telemetry.span t "tuner.check" (fun () -> ()));
   let s = Telemetry.summary t in
-  Alcotest.(check bool) "cost split present" true (contains s "cost split")
+  Alcotest.(check bool) "cost split present" true (contains s "cost split");
+  Alcotest.(check bool) "functional check share present" true
+    (contains s "%  check ")
 
 let test_multidomain_counts () =
   (* concurrent recording from several domains must neither crash nor

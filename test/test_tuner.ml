@@ -177,7 +177,7 @@ let test_functional_check_wrong_candidate () =
       let wrong = o0 (Corpus.find "429.mcf") in
       let check () =
         Bintuner.Session.functional_check (Bintuner.Session.check s)
-          check_bench ~baseline wrong
+          ~pool:(Bintuner.Session.pool s) check_bench ~baseline [ wrong ]
       in
       Alcotest.(check bool) "first call" false (check ());
       Alcotest.(check bool) "cached call" false (check ());
@@ -187,7 +187,7 @@ let test_functional_check_wrong_candidate () =
         (check_traffic s);
       Alcotest.(check bool) "the baseline passes against itself" true
         (Bintuner.Session.functional_check (Bintuner.Session.check s)
-           check_bench ~baseline baseline))
+           ~pool:(Bintuner.Session.pool s) check_bench ~baseline [ baseline ]))
 
 (* A run that traps raises on every call: the error is never cached. *)
 let test_functional_check_trap_not_cached () =
@@ -199,7 +199,7 @@ let test_functional_check_trap_not_cached () =
       for call = 1 to 2 do
         match
           Bintuner.Session.functional_check (Bintuner.Session.check s)
-            check_bench ~baseline trapping
+            ~pool:(Bintuner.Session.pool s) check_bench ~baseline [ trapping ]
         with
         | _ -> Alcotest.failf "call %d: a trapping candidate must raise" call
         | exception Vm.Machine.Trap _ -> ()
@@ -262,6 +262,33 @@ let test_tune_refuses_pool_and_session () =
           | _ -> Alcotest.fail "~pool with ~session must be refused"
           | exception Invalid_argument _ -> ()))
 
+(* The functional check's VM runs fan out across the pool, yet the same
+   job at -j 1 and -j 2 gives the same verdict and runs the same VM
+   work. *)
+let test_functional_check_j_invariant () =
+  let run j =
+    let t = Telemetry.create () in
+    Telemetry.set_global t;
+    let r =
+      Fun.protect
+        ~finally:(fun () -> Telemetry.set_global Telemetry.null)
+        (fun () ->
+          Parallel.Pool.with_pool j (fun pool ->
+              Bintuner.Tuner.tune ~pool
+                ~termination:{ quick_term with Search.max_evaluations = 16 }
+                ~strategy:(Search.of_name "hill") ~profile:Toolchain.Flags.gcc
+                check_bench))
+    in
+    ( r.Bintuner.Tuner.functional_ok,
+      Telemetry.counter_value t "vm.runs",
+      Telemetry.counter_value t "vm.steps" )
+  in
+  let ok1, runs1, steps1 = run 1 and ok2, runs2, steps2 = run 2 in
+  Alcotest.(check bool) "functional_ok" ok1 ok2;
+  Alcotest.(check bool) "the job was checked" true (runs1 > 0);
+  Alcotest.(check int) "vm.runs" runs1 runs2;
+  Alcotest.(check int) "vm.steps" steps1 steps2
+
 (* On random valid flag vectors, the cached verdict (first and repeat
    call) equals the direct uncached check over every workload. *)
 let prop_functional_check_matches_direct =
@@ -288,7 +315,7 @@ let prop_functional_check_matches_direct =
       in
       let cached () =
         Bintuner.Session.functional_check (Bintuner.Session.check s)
-          check_bench ~baseline bin
+          ~pool:(Bintuner.Session.pool s) check_bench ~baseline [ bin ]
       in
       cached () = direct && cached () = direct)
 
@@ -758,6 +785,8 @@ let tests =
     Alcotest.test_case "functional check trap not cached" `Quick
       test_functional_check_trap_not_cached;
     Alcotest.test_case "diff score cached" `Quick test_diff_score_cached;
+    Alcotest.test_case "functional check same at -j 1 and -j 2" `Quick
+      test_functional_check_j_invariant;
     Alcotest.test_case "sizecache rejects foreign level" `Quick
       test_sizecache_rejects_foreign_level;
     Alcotest.test_case "tune refuses pool and session" `Quick

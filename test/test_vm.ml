@@ -72,7 +72,10 @@ let test_run_function_args () =
       bin.Isa.Binary.functions;
     !found
   in
-  let r = Vm.Machine.run_function bin ~fid ~args:[ 1; 2; 3 ] ~input:[||] in
+  let r =
+    Vm.Machine.execute_function (Vm.Machine.prepare bin) ~fid ~args:[ 1; 2; 3 ]
+      ~input:[||]
+  in
   Alcotest.(check int) "direct call" 6 r.return_value
 
 (* [args] bind in call order: a non-commutative callee returns what the
@@ -101,8 +104,9 @@ let test_run_function_arg_order () =
       in
       Alcotest.(check int) (label ^ ": main's sub(10, 3)") 7
         (Vm.Machine.run bin ~input:[||]).return_value;
-      Alcotest.(check int) (label ^ ": run_function ~args:[10; 3]") 7
-        (Vm.Machine.run_function bin ~fid ~args:[ 10; 3 ] ~input:[||])
+      Alcotest.(check int) (label ^ ": execute_function ~args:[10; 3]") 7
+        (Vm.Machine.execute_function (Vm.Machine.prepare bin) ~fid
+           ~args:[ 10; 3 ] ~input:[||])
           .return_value)
     (List.concat_map
        (fun profile ->
@@ -280,9 +284,90 @@ let prop_stack_limit =
       (* both arguments are [n], so the depth does not hang on which
          end of the frame holds the first *)
       check_limits (fun words () ->
-          Vm.Machine.run_function ~stack_words:words bin ~fid ~args:[ n; n ]
-            ~input:[||]);
+          Vm.Machine.execute_function ~stack_words:words
+            (Vm.Machine.prepare bin) ~fid ~args:[ n; n ] ~input:[||]);
       true)
+
+(* One prepared binary runs any number of times: each run starts from
+   the binary's initial data image and an untouched stack, so two runs
+   of one [prepared] value equal two fresh runs. *)
+let test_prepared_runs_independent () =
+  let writes_back =
+    {
+      (hand_binary
+         Isa.Insn.
+           [
+             Ild (0, 0, Oimm 0);
+             Ist (0, Oimm 0, Oimm 9);
+             Ildf (1, SP_rel, -100_000, Oimm 0);
+             Istf (SP_rel, -100_000, Oimm 0, Oimm 7);
+             Ialu (Amul, 1, 1, Oimm 10);
+             Ialu (Aadd, 0, 0, Oreg 1);
+             Iret;
+           ])
+      with
+      data_words = [| 5 |];
+      symbols = [| ("g", 0, 1) |];
+    }
+  in
+  let p = Vm.Machine.prepare writes_back in
+  List.iter
+    (fun run ->
+      Alcotest.(check int) "initial data, untouched stack" 5
+        (run ()).Vm.Machine.return_value)
+    [
+      (fun () -> Vm.Machine.execute p ~input:[||]);
+      (fun () -> Vm.Machine.execute p ~input:[||]);
+      (fun () -> Vm.Machine.run writes_back ~input:[||]);
+    ];
+  let b = Corpus.find "473.astar" in
+  let bin = compile b.Corpus.source in
+  let p = Vm.Machine.prepare bin in
+  List.iter
+    (fun input ->
+      let fresh = Vm.Machine.run bin ~input in
+      Alcotest.(check bool) "first prepared run = fresh run" true
+        (Vm.Machine.execute p ~input = fresh);
+      Alcotest.(check bool) "second prepared run = fresh run" true
+        (Vm.Machine.execute p ~input = fresh))
+    b.workloads
+
+(* Hostile bytes: every single-bit flip of a corpus O2 binary's text,
+   at seeded random positions, runs to a result, a [Trap] or
+   [Out_of_fuel] under a small fuel bound.  A flip can make the text
+   undecodable or name a register, symbol or function the binary does
+   not have; none of that may escape as another exception. *)
+let test_bit_flips_end_cleanly () =
+  let rng = Util.Rng.create 23 in
+  let traps = ref 0 in
+  List.iter
+    (fun (b : Corpus.benchmark) ->
+      List.iter
+        (fun profile ->
+          let bin =
+            Toolchain.Pipeline.compile_preset profile "O2" (Corpus.program b)
+          in
+          let text = bin.Isa.Binary.text in
+          for _ = 1 to 32 do
+            let bit = Util.Rng.int rng (8 * String.length text) in
+            let flipped = Bytes.of_string text in
+            Bytes.set flipped (bit / 8)
+              (Char.chr (Char.code text.[bit / 8] lxor (1 lsl (bit mod 8))));
+            match
+              Vm.Machine.run ~fuel:200_000
+                { bin with text = Bytes.to_string flipped }
+                ~input:(List.hd b.workloads)
+            with
+            | _ | (exception Vm.Machine.Out_of_fuel) -> ()
+            | exception Vm.Machine.Trap _ -> incr traps
+            | exception e ->
+              Alcotest.failf "%s %s, bit %d: %s escaped" b.bname
+                profile.Toolchain.Flags.profile_name bit (Printexc.to_string e)
+          done)
+        [ Toolchain.Flags.gcc; Toolchain.Flags.llvm ])
+    Corpus.all;
+  (* the flips do reach the decoder and the operand checks *)
+  Alcotest.(check bool) "some flips trap" true (!traps > 0)
 
 let tests =
   [
@@ -303,4 +388,8 @@ let tests =
     Alcotest.test_case "push above stack traps" `Quick test_push_above_stack_traps;
     Alcotest.test_case "far stack words" `Quick test_far_stack_words;
     QCheck_alcotest.to_alcotest prop_stack_limit;
+    Alcotest.test_case "prepared runs are independent" `Quick
+      test_prepared_runs_independent;
+    Alcotest.test_case "bit flips end cleanly" `Quick
+      test_bit_flips_end_cleanly;
   ]

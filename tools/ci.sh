@@ -14,8 +14,8 @@
 #      reproduce the sentinel recorded before the NCD kernel overhaul;
 #   5. telemetry smoke — a one-benchmark fig5 run with -trace must emit
 #      parseable ndjson covering the span vocabulary (compile, pass.*,
-#      search.ga.generation, pool.chunk, tuner.binhunt) and the VM's
-#      deterministic work counter (vm.steps), and a -profile
+#      search.ga.generation, pool.chunk, tuner.binhunt, tuner.check) and
+#      the VM's deterministic work counter (vm.steps), and a -profile
 #      cost split, while the default (telemetry-off) path emits nothing
 #      and reproduces the same sentinel; the fig5 NCD batch must report
 #      size-cache hits;
@@ -145,7 +145,7 @@ for line in open(sys.argv[1]):
 
 for span in '"name":"compile"' '"name":"pass.' '"name":"search.ga.generation"' \
             '"name":"pool.chunk"' '"name":"tuner.ncd"' '"name":"tuner.binhunt"' \
-            '"name":"vm.steps"'; do
+            '"name":"tuner.check"' '"name":"vm.steps"'; do
   grep -q "$span" "$trace_file" \
     || { echo "ci: FAIL — trace missing expected span $span" >&2; exit 1; }
 done
