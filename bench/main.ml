@@ -134,12 +134,13 @@ let fig5_profile profile ~first_bar =
         let o2 = preset_binary profile "O2" bench in
         let o3 = preset_binary profile "O3" bench in
         let tuned_bin = (tuned profile bench).refined_binary in
+        let vs_o0 = diff_score ~baseline:o0 in
         ( bench.Corpus.bname,
           [
-            diff_score ~baseline:o0 first;
-            diff_score ~baseline:o0 o2;
-            diff_score ~baseline:o0 o3;
-            diff_score ~baseline:o0 tuned_bin;
+            vs_o0 first;
+            vs_o0 o2;
+            vs_o0 o3;
+            vs_o0 tuned_bin;
             diff_score ~baseline:o3 tuned_bin;
           ] ))
       (eval_set ())
@@ -372,8 +373,8 @@ let fig7 () =
       let bench = Corpus.find name in
       let r = tuned profile bench in
       let ast = Corpus.program bench in
-      let o0 = preset_binary profile "O0" bench in
-      let full_score = diff_score ~baseline:o0 r.refined_binary in
+      let vs_o0 = diff_score ~baseline:(preset_binary profile "O0" bench) in
+      let full_score = vs_o0 r.refined_binary in
       let drops =
         List.filter_map
           (fun i ->
@@ -383,7 +384,7 @@ let fig7 () =
               (* removing one flag may break a dependency: skip invalid *)
               if Toolchain.Constraints.valid profile v then begin
                 let bin = Toolchain.Pipeline.compile_flags profile v ast in
-                let drop = full_score -. diff_score ~baseline:o0 bin in
+                let drop = full_score -. vs_o0 bin in
                 Some (profile.flags.(i).name, max 0.0 drop)
               end
               else None
@@ -616,21 +617,22 @@ let cross_table title profile bench settings =
         | _ -> (s, preset_binary profile s bench))
       settings
   in
+  let against = List.map (fun (s, bin) -> (s, diff_score ~baseline:bin)) bins in
   let rows =
     List.map
       (fun (name_a, bin_a) ->
         let cells =
           List.map
-            (fun (name_b, bin_b) ->
+            (fun (name_b, vs_b) ->
               if name_a = name_b then "-"
-              else Printf.sprintf "%.2f" (diff_score ~baseline:bin_b bin_a))
-            bins
+              else Printf.sprintf "%.2f" (vs_b bin_a))
+            against
         in
         let sum =
           List.fold_left
-            (fun acc (name_b, bin_b) ->
-              if name_a = name_b then acc else acc +. diff_score ~baseline:bin_b bin_a)
-            0.0 bins
+            (fun acc (name_b, vs_b) ->
+              if name_a = name_b then acc else acc +. vs_b bin_a)
+            0.0 against
         in
         (name_a :: cells) @ [ Printf.sprintf "%.2f" sum ])
       bins
@@ -670,7 +672,7 @@ let fig10 () =
     (fun (name, profile) ->
       let bench = Corpus.find name in
       let r = tuned profile bench in
-      let o0 = preset_binary profile "O0" bench in
+      let vs_o0 = diff_score ~baseline:(preset_binary profile "O0" bench) in
       let ast = Corpus.program bench in
       (* sample the iteration database, chunked; one correlation each *)
       let entries = Array.of_list r.database in
@@ -680,7 +682,7 @@ let fig10 () =
         List.init nsample (fun k ->
             let e = entries.(min (k * stride) (Array.length entries - 1)) in
             let bin = Toolchain.Pipeline.compile_flags profile e.vector ast in
-            (e.fitness.(0), diff_score ~baseline:o0 bin))
+            (e.fitness.(0), vs_o0 bin))
       in
       let rec chunks = function
         | a :: b :: c :: d :: e :: f' :: rest ->

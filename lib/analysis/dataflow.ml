@@ -221,51 +221,179 @@ module Make (D : DOMAIN) = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Instance: liveness (backward, set-of-registers lattice)             *)
+(* Dense bitsets and block indexing                                    *)
 (* ------------------------------------------------------------------ *)
 
+module Bits = struct
+  type t = int array
+
+  (* a literal, so word arithmetic compiles to multiplies and shifts *)
+  let word = 63
+  let () = assert (Sys.int_size = word)
+
+  (* the empty set [k] words wide; literal arrays for the one- and
+     two-word sets nearly every function needs, as [Array.make] is a C
+     call *)
+  let zero = function
+    | 0 -> [||]
+    | 1 -> [| 0 |]
+    | 2 -> [| 0; 0 |]
+    | k -> Array.make k 0
+
+  let mem s i =
+    let w = i / word in
+    w < Array.length s && s.(w) land (1 lsl (i mod word)) <> 0
+
+  let add s i =
+    let w = i / word in
+    s.(w) <- s.(w) lor (1 lsl (i mod word))
+
+  let remove s i =
+    let w = i / word in
+    if w < Array.length s then s.(w) <- s.(w) land lnot (1 lsl (i mod word))
+
+  (* members in increasing order, as [Iset.iter] visits them *)
+  let iter f s =
+    for w = 0 to Array.length s - 1 do
+      let x = ref s.(w) and i = ref (w * word) in
+      while !x <> 0 do
+        if !x land 1 <> 0 then f !i;
+        x := !x lsr 1;
+        incr i
+      done
+    done
+end
+
+type blocks = {
+  block : block array;
+  pos : int -> int;
+  succs : int array array;
+}
+
+let index_blocks (f : func) =
+  let block = Array.of_list f.blocks in
+  let n = Array.length block in
+  let lo = Array.fold_left (fun m b -> min m b.label) max_int block in
+  let hi = Array.fold_left (fun m b -> max m b.label) min_int block in
+  let span = hi - lo in
+  let pos =
+    if n > 0 && span >= 0 && span < (4 * n) + 64 then begin
+      (* the usual case: labels come from [next_label], so a direct
+         table over their range is small *)
+      let a = Array.make (span + 1) (-1) in
+      Array.iteri (fun i b -> a.(b.label - lo) <- i) block;
+      fun l -> if l < lo || l > hi then -1 else a.(l - lo)
+    end
+    else begin
+      let h = Hashtbl.create (2 * n) in
+      Array.iteri (fun i b -> Hashtbl.replace h b.label i) block;
+      fun l -> match Hashtbl.find_opt h l with Some i -> i | None -> -1
+    end
+  in
+  let succs =
+    Array.map
+      (fun b ->
+        match
+          List.filter_map
+            (fun l ->
+              let p = pos l in
+              if p < 0 then None else Some p)
+            (successors b.term)
+        with
+        | [] -> [||]
+        | [ s ] -> [| s |]
+        | [ s; t ] -> [| s; t |]
+        | ss -> Array.of_list ss)
+      block
+  in
+  { block; pos; succs }
+
+(* ------------------------------------------------------------------ *)
+(* Liveness: one dense backward kernel                                 *)
+(* ------------------------------------------------------------------ *)
+
+type liveness = {
+  live_pos : int -> int;
+  live_in : Bits.t array;
+  live_out : Bits.t array;
+}
+
 (* Scalar and vector registers live in separate namespaces with separate
-   use/def accessors, so liveness is parameterized over the extraction
-   functions.  Block-level use/def summaries are precomputed once per
-   [solve] call — [transfer] runs on every worklist visit and the huge
-   straight-line blocks full unrolling produces make rescanning
-   quadratic. *)
-let liveness_solver ~uses ~def ~term_uses (f : func) :
-    (int, Iset.t) Hashtbl.t * (int, Iset.t) Hashtbl.t =
-  let summary = Hashtbl.create 32 in
-  List.iter
-    (fun b ->
-      let use = ref Iset.empty and defs = ref Iset.empty in
+   use/def accessors, and lint asks the same question of frame slots, so
+   the kernel is parameterized over the extraction functions.  One scan
+   collects each block's upward-exposed uses and its definitions; the
+   fixpoint is then swept over [int array] bitsets in reverse layout
+   order until nothing changes.  Iteration starts from empty sets, so it
+   stops at the least fixpoint of the liveness equations, which is
+   unique: any visit order gives the same sets. *)
+let liveness_solver ~uses ~def ~term_uses (f : func) =
+  Telemetry.add_count "dataflow.liveness.solves";
+  let bl = index_blocks f in
+  let n = Array.length bl.block in
+  let nwords = ref 0 in
+  let use = Array.make n [||] and defs = Array.make n [||] in
+  (* widen every block's sets (rarely: the width doubles) when a
+     register past their width turns up *)
+  let fit r =
+    let k = (r / Bits.word) + 1 in
+    if k > !nwords then begin
+      let k = max k (2 * !nwords) in
+      let widen s =
+        let s' = Bits.zero k in
+        Array.blit s 0 s' 0 (Array.length s);
+        s'
+      in
+      for q = 0 to n - 1 do
+        use.(q) <- widen use.(q);
+        defs.(q) <- widen defs.(q)
+      done;
+      nwords := k
+    end
+  in
+  Array.iteri
+    (fun p b ->
+      let exposed r =
+        fit r;
+        if not (Bits.mem defs.(p) r) then Bits.add use.(p) r
+      in
       List.iter
         (fun i ->
-          List.iter
-            (fun r -> if not (Iset.mem r !defs) then use := Iset.add r !use)
-            (uses i);
+          List.iter exposed (uses i);
           match def i with
-          | Some d -> defs := Iset.add d !defs
+          | Some d ->
+            fit d;
+            Bits.add defs.(p) d
           | None -> ())
         b.instrs;
-      List.iter
-        (fun r -> if not (Iset.mem r !defs) then use := Iset.add r !use)
-        (term_uses b.term);
-      Hashtbl.replace summary b.label (!use, !defs))
-    f.blocks;
-  let module D = struct
-    type t = Iset.t
-
-    let direction = Backward
-    let boundary _ = Iset.empty
-    let bottom _ = Iset.empty
-    let equal = Iset.equal
-    let join = Iset.union
-    let widen = Iset.union
-
-    let transfer _ b out =
-      let use, defs = Hashtbl.find summary b.label in
-      Iset.union use (Iset.diff out defs)
-  end in
-  let module S = Make (D) in
-  S.solve f
+      List.iter exposed (term_uses b.term))
+    bl.block;
+  let nwords = !nwords in
+  let live_in = Array.init n (fun _ -> Bits.zero nwords) in
+  let live_out = Array.init n (fun _ -> Bits.zero nwords) in
+  let visits = ref 0 in
+  let changed = ref (nwords > 0) in
+  while !changed do
+    changed := false;
+    for p = n - 1 downto 0 do
+      incr visits;
+      let out = live_out.(p) and inn = live_in.(p) in
+      let u = use.(p) and d = defs.(p) and ss = bl.succs.(p) in
+      for w = 0 to nwords - 1 do
+        let o = ref 0 in
+        for k = 0 to Array.length ss - 1 do
+          o := !o lor live_in.(ss.(k)).(w)
+        done;
+        out.(w) <- !o;
+        let v = u.(w) lor (!o land lnot d.(w)) in
+        if v <> inn.(w) then begin
+          inn.(w) <- v;
+          changed := true
+        end
+      done
+    done
+  done;
+  Telemetry.add_count ~by:!visits "dataflow.liveness.block_visits";
+  { live_pos = bl.pos; live_in; live_out }
 
 module Liveness = struct
   (* scalar-register liveness; [Loop_branch] counters are uses via
@@ -282,36 +410,6 @@ module Vliveness = struct
     liveness_solver ~uses:instr_vuses ~def:instr_vdef
       ~term_uses:(fun _ -> [])
       f
-end
-
-(* ------------------------------------------------------------------ *)
-(* Instance: dominators (forward, intersection lattice)                *)
-(* ------------------------------------------------------------------ *)
-
-module Dominators = struct
-  (* dom(b) = {b} ∪ ⋂ over predecessors p of dom(p); initialized to the
-     full label set so the solver converges down to the greatest
-     fixpoint, which is the true dominator relation for every reachable
-     block.  Unreachable blocks stay at the full set (the identity of
-     intersection), so they never pollute reachable results. *)
-  let solve (f : func) =
-    let all =
-      List.fold_left (fun acc b -> Iset.add b.label acc) Iset.empty f.blocks
-    in
-    let module D = struct
-      type t = Iset.t
-
-      let direction = Forward
-      let boundary _ = Iset.empty
-      let bottom _ = all
-      let equal = Iset.equal
-      let join = Iset.inter
-      let widen = Iset.inter
-      let transfer _ b input = Iset.add b.label input
-    end in
-    let module S = Make (D) in
-    let _, out = S.solve f in
-    out
 end
 
 (* ------------------------------------------------------------------ *)

@@ -12,6 +12,13 @@
     {!Make} specializes the engine to [Vir.Ir] functions (nodes are block
     labels); [Binsight.Features] reuses {!Make_graph} directly over
     recovered binary CFGs (nodes are basic-block addresses).
+    {!Reaching}, {!Constprop} and {!Interval} run on it; the widening
+    ones need it, as the FIFO visit order decides where widening fires.
+
+    Liveness does not: its fixpoint is unique, so it runs on a dense
+    bitset kernel ({!liveness_solver}) over blocks indexed by layout
+    position ({!index_blocks}), which [Passes.Cfg_utils] also builds its
+    dominators and natural loops on.
 
     [solve] returns two tables, [(in_facts, out_facts)]: the fact at
     node entry and at node exit, regardless of direction.  For a
@@ -108,34 +115,64 @@ module Make (D : DOMAIN) : sig
   val solve : Vir.Ir.func -> (int, fact) Hashtbl.t * (int, fact) Hashtbl.t
 end
 
+(** Dense bitsets over small non-negative ints (registers, slots):
+    [int array] words of [Sys.int_size] bits, mutated in place. *)
+module Bits : sig
+  type t = int array
+
+  val mem : t -> int -> bool
+  (** [false] past the set's width. *)
+
+  val add : t -> int -> unit
+  (** Raises [Invalid_argument] past the set's width. *)
+
+  val remove : t -> int -> unit
+
+  val iter : (int -> unit) -> t -> unit
+  (** Members in increasing order, as [Iset.iter] visits them. *)
+end
+
+(** A function's blocks indexed by layout position. *)
+type blocks = {
+  block : Vir.Ir.block array;  (** layout order; position 0 is the entry *)
+  pos : int -> int;  (** label → position, [-1] when no block has it *)
+  succs : int array array;
+      (** per position, successor positions in terminator order
+          (duplicates kept); labels that name no block are dropped *)
+}
+
+val index_blocks : Vir.Ir.func -> blocks
+
+(** Liveness facts per block, indexed by layout position. *)
+type liveness = {
+  live_pos : int -> int;  (** label → position, [-1] when no block has it *)
+  live_in : Bits.t array;
+  live_out : Bits.t array;
+}
+
 val liveness_solver :
   uses:(Vir.Ir.instr -> int list) ->
   def:(Vir.Ir.instr -> int option) ->
   term_uses:(Vir.Ir.terminator -> int list) ->
   Vir.Ir.func ->
-  (int, Iset.t) Hashtbl.t * (int, Iset.t) Hashtbl.t
+  liveness
 (** Backward liveness parameterized over use/def extraction (scalar and
     vector registers live in separate namespaces; lint reuses it for
-    frame slots).  Block-level use/def summaries are precomputed once per
-    call so huge straight-line blocks stay linear. *)
+    frame slots).  A dense kernel, not an instance of {!Make}: one scan
+    gives each block's use/def bitsets, which are swept in reverse
+    layout order to the least (and unique) fixpoint.  Every set is wide
+    enough for each register the function mentions.  Counts
+    [dataflow.liveness.solves] and [dataflow.liveness.block_visits]
+    through telemetry. *)
 
 (** Scalar-register liveness; [Loop_branch] counters count as uses. *)
 module Liveness : sig
-  val solve :
-    Vir.Ir.func -> (int, Iset.t) Hashtbl.t * (int, Iset.t) Hashtbl.t
+  val solve : Vir.Ir.func -> liveness
 end
 
 (** Vector-register liveness. *)
 module Vliveness : sig
-  val solve :
-    Vir.Ir.func -> (int, Iset.t) Hashtbl.t * (int, Iset.t) Hashtbl.t
-end
-
-(** Forward dominator analysis: [solve f] maps each reachable block
-    label to the set of labels dominating it (including itself);
-    unreachable blocks stay at the full label set. *)
-module Dominators : sig
-  val solve : Vir.Ir.func -> (int, Iset.t) Hashtbl.t
+  val solve : Vir.Ir.func -> liveness
 end
 
 (** Reaching definitions.  A definition site is

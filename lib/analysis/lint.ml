@@ -72,26 +72,22 @@ let lint_func (p : program) (f : func) : finding list =
         add "unused-array" "local array %s is never used" name)
     f.local_arrays;
   (* --- dead stores (skip slots already reported unused) --- *)
-  let _, slot_live_out = slot_liveness f in
-  List.iter
-    (fun b ->
-      let live =
-        ref
-          (match Hashtbl.find_opt slot_live_out b.label with
-          | Some s -> s
-          | None -> Iset.empty)
-      in
+  let slot_live = slot_liveness f in
+  List.iteri
+    (fun p b ->
+      let live = Array.copy slot_live.live_out.(p) in
       List.iter
         (fun i ->
           (match i with
           | Slot_store (s, _)
-            when (not (Iset.mem s !live)) && not (Iset.mem s !unused) ->
+            when (not (Dataflow.Bits.mem live s)) && not (Iset.mem s !unused)
+            ->
             add "dead-store" "L%d: store to %s is never read" b.label
               (slot_name s)
           | _ -> ());
           match i with
-          | Slot_store (s, _) -> live := Iset.remove s !live
-          | Slot_load (_, s) -> live := Iset.add s !live
+          | Slot_store (s, _) -> Dataflow.Bits.remove live s
+          | Slot_load (_, s) -> Dataflow.Bits.add live s
           | _ -> ())
         (List.rev b.instrs))
     f.blocks;

@@ -1,6 +1,7 @@
 open Isa.Insn
 module Ir = Vir.Ir
 module Iset = Passes.Cfg_utils.Iset
+module Dataflow = Analysis.Dataflow
 
 type switch_strategy = Jump_table | Binary_search | Linear
 
@@ -140,8 +141,7 @@ let linear_scan ~caller_pool ~callee_pool ~first_spill intervals =
   (assignment, List.sort compare !used_callee, !next_spill - first_spill)
 
 (* Compute coarse live intervals from block-level liveness. *)
-let intervals_of_func (f : Ir.func) =
-  let live_in, live_out = Passes.Cleanup.liveness f in
+let intervals_of_func (live : Dataflow.liveness) (f : Ir.func) =
   let start_tbl = Hashtbl.create 64 in
   let stop_tbl = Hashtbl.create 64 in
   let call_positions = ref [] in
@@ -154,8 +154,8 @@ let intervals_of_func (f : Ir.func) =
     | Some _ | None -> Hashtbl.replace stop_tbl r p
   in
   let pos = ref 0 in
-  List.iter
-    (fun (b : Ir.block) ->
+  List.iteri
+    (fun p (b : Ir.block) ->
       let bstart = !pos in
       incr pos;
       List.iter
@@ -173,12 +173,8 @@ let intervals_of_func (f : Ir.func) =
       | _ -> ());
       let bend = !pos in
       incr pos;
-      (match Hashtbl.find_opt live_in b.label with
-      | Some s -> Iset.iter (fun r -> touch r bstart) s
-      | None -> ());
-      match Hashtbl.find_opt live_out b.label with
-      | Some s -> Iset.iter (fun r -> touch r bend) s
-      | None -> ())
+      Dataflow.Bits.iter (fun r -> touch r bstart) live.live_in.(p);
+      Dataflow.Bits.iter (fun r -> touch r bend) live.live_out.(p))
     f.blocks;
   (* parameters are defined at entry *)
   List.iter (fun p -> touch p 0) f.params;
@@ -195,10 +191,8 @@ let intervals_of_func (f : Ir.func) =
    body, to the reduce after the loop), so block-level vector liveness is
    required — position-only intervals break as soon as a layout pass
    reorders the blocks. *)
-let vliveness (f : Ir.func) = Analysis.Dataflow.Vliveness.solve f
-
 let vintervals_of_func (f : Ir.func) =
-  let live_in, live_out = vliveness f in
+  let live = Dataflow.Vliveness.solve f in
   let start_tbl = Hashtbl.create 8 in
   let stop_tbl = Hashtbl.create 8 in
   let touch r p =
@@ -210,8 +204,8 @@ let vintervals_of_func (f : Ir.func) =
     | Some _ | None -> Hashtbl.replace stop_tbl r p
   in
   let pos = ref 0 in
-  List.iter
-    (fun (b : Ir.block) ->
+  List.iteri
+    (fun p (b : Ir.block) ->
       let bstart = !pos in
       incr pos;
       List.iter
@@ -222,12 +216,8 @@ let vintervals_of_func (f : Ir.func) =
         b.instrs;
       let bend = !pos in
       incr pos;
-      (match Hashtbl.find_opt live_in b.label with
-      | Some s -> Iset.iter (fun r -> touch r bstart) s
-      | None -> ());
-      match Hashtbl.find_opt live_out b.label with
-      | Some s -> Iset.iter (fun r -> touch r bend) s
-      | None -> ())
+      Dataflow.Bits.iter (fun r -> touch r bstart) live.live_in.(p);
+      Dataflow.Bits.iter (fun r -> touch r bend) live.live_out.(p))
     f.blocks;
   Hashtbl.fold
     (fun r start acc -> (r, start, Hashtbl.find stop_tbl r, false) :: acc)
@@ -260,7 +250,7 @@ type fctx = {
   mutable push_depth : int;
   mutable items : item list;  (** reversed *)
   mutable next_label : int;  (** internal labels, distinct from block ids *)
-  live_out : (int, Iset.t) Hashtbl.t;
+  live : Dataflow.liveness;  (** the function's scalar liveness *)
 }
 
 let emit ctx i = ctx.items <- Ins i :: ctx.items
@@ -693,11 +683,9 @@ let fused_condition ctx (b : Ir.block) =
   match (b.term, List.rev b.instrs) with
   | Ir.Br (Ir.Reg c, t, e), Ir.Bin (op, c', a, bb) :: rest
     when c' = c && is_comparison op
-         && not
-              (Iset.mem c
-                 (match Hashtbl.find_opt ctx.live_out b.label with
-                 | Some s -> s
-                 | None -> Iset.empty)) ->
+         &&
+         let p = ctx.live.live_pos b.label in
+         not (p >= 0 && Dataflow.Bits.mem ctx.live.live_out.(p) c) ->
     Some (List.rev rest, op, a, bb, t, e)
   | _ -> None
 
@@ -795,7 +783,9 @@ let compile_function ~opts ~arch ~fids ~syms (f : Ir.func) =
       0 f.local_arrays
   in
   let first_spill = f.nslots + arrays_total in
-  let intervals = intervals_of_func f in
+  (* one scalar liveness solve serves the allocator and branch fusion *)
+  let live = Dataflow.Liveness.solve f in
+  let intervals = intervals_of_func live f in
   let alloc, used_callee, nspills =
     linear_scan ~caller_pool ~callee_pool ~first_spill intervals
   in
@@ -808,7 +798,6 @@ let compile_function ~opts ~arch ~fids ~syms (f : Ir.func) =
   if vspills > 0 then
     errorf "%s: vector register pressure exceeds hardware" f.fname;
   let frame_size = first_spill + nspills in
-  let _, live_out = Passes.Cleanup.liveness f in
   let ctx =
     {
       opts;
@@ -828,7 +817,7 @@ let compile_function ~opts ~arch ~fids ~syms (f : Ir.func) =
       push_depth = 0;
       items = [];
       next_label = 1_000_000;  (* distinct from IR block labels *)
-      live_out;
+      live;
     }
   in
   let block_sym l = l in

@@ -16,20 +16,73 @@ let reachable f =
   (match f.blocks with b :: _ -> go b.label | [] -> ());
   !seen
 
-(* Dominator sets on the shared worklist solver (greatest fixpoint of
-   dom(b) = {b} ∪ ⋂ preds).  The historical contract is preserved: the
-   table has entries for reachable blocks only, and every set contains
-   only reachable labels. *)
+(* Dominators on the dense block indexing ({!Analysis.Dataflow.index_blocks})
+   by Cooper, Harvey and Kennedy's iteration over reverse postorder.
+   Returns the reachable positions in reverse postorder, each position's
+   rank in it (-1 when unreachable), each reachable position's immediate
+   dominator (the entry is its own), and the predecessors of each
+   position among reachable blocks. *)
+let idoms (bl : Analysis.Dataflow.blocks) =
+  let n = Array.length bl.block in
+  let seen = Array.make n false in
+  let post = ref [] in
+  let rec go p =
+    if not seen.(p) then begin
+      seen.(p) <- true;
+      Array.iter go bl.succs.(p);
+      post := p :: !post
+    end
+  in
+  if n > 0 then go 0;
+  let order = Array.of_list !post in
+  let rank = Array.make n (-1) in
+  Array.iteri (fun k p -> rank.(p) <- k) order;
+  let preds = Array.make n [] in
+  Array.iter
+    (fun p -> Array.iter (fun s -> preds.(s) <- p :: preds.(s)) bl.succs.(p))
+    order;
+  let idom = Array.make n (-1) in
+  if n > 0 then idom.(0) <- 0;
+  let rec intersect a b =
+    if a = b then a
+    else if rank.(a) > rank.(b) then intersect idom.(a) b
+    else intersect a idom.(b)
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for k = 1 to Array.length order - 1 do
+      let b = order.(k) in
+      let nd =
+        List.fold_left
+          (fun acc p ->
+            if idom.(p) < 0 then acc else if acc < 0 then p else intersect p acc)
+          (-1) preds.(b)
+      in
+      if nd <> idom.(b) then begin
+        idom.(b) <- nd;
+        changed := true
+      end
+    done
+  done;
+  (order, rank, idom, preds)
+
+(* The table has entries for reachable blocks only, inserted in layout
+   order ([Gvn] iterates it, so that order reaches its output), and
+   every set holds only reachable labels. *)
 let dominators f =
-  let reach = reachable f in
-  let full = Analysis.Dataflow.Dominators.solve f in
+  let bl = Analysis.Dataflow.index_blocks f in
+  let order, rank, idom, _ = idoms bl in
+  let sets = Array.make (Array.length bl.block) Iset.empty in
+  Array.iteri
+    (fun k p ->
+      let up = if k = 0 then Iset.empty else sets.(idom.(p)) in
+      sets.(p) <- Iset.add bl.block.(p).label up)
+    order;
   let dom = Hashtbl.create 16 in
-  List.iter
-    (fun b ->
-      if Iset.mem b.label reach then
-        Hashtbl.replace dom b.label
-          (Iset.inter reach (Hashtbl.find full b.label)))
-    f.blocks;
+  Array.iteri
+    (fun p b -> if rank.(p) >= 0 then Hashtbl.replace dom b.label sets.(p))
+    bl.block;
   dom
 
 type loop = {
@@ -39,36 +92,44 @@ type loop = {
 }
 
 let natural_loops f =
-  let dom = dominators f in
-  let reach = reachable f in
-  let preds_tbl = predecessors f in
-  let block_table = Hashtbl.create 16 in
-  List.iter (fun b -> Hashtbl.replace block_table b.label b) f.blocks;
-  (* back edge: s → h where h dominates s *)
+  let bl = Analysis.Dataflow.index_blocks f in
+  let _, rank, idom, preds = idoms bl in
+  (* [h] dominates reachable [p]: [h] is on [p]'s idom chain, which only
+     climbs to lower ranks *)
+  let rec dominates h p =
+    p = h || (rank.(p) > rank.(h) && dominates h idom.(p))
+  in
+  (* back edge: s → h where h dominates s.  Loops come out of [back] in
+     its fold order, which fixes the order among loops of equal body
+     size that [Ir_opt.licm], [Ir_opt.partition_blocks] and [Licm_dom]
+     process them in, so keys and latches go in in layout and terminator
+     order, duplicates kept (test/frozen_loops.ml pins the result). *)
   let back = Hashtbl.create 8 in
-  List.iter
-    (fun b ->
-      if Iset.mem b.label reach then
-        List.iter
-          (fun succ ->
-            match Hashtbl.find_opt dom b.label with
-            | Some doms when Iset.mem succ doms ->
-              let cur = try Hashtbl.find back succ with Not_found -> [] in
-              Hashtbl.replace back succ (b.label :: cur)
-            | Some _ | None -> ())
-          (successors b.term))
-    f.blocks;
+  Array.iteri
+    (fun p b ->
+      if rank.(p) >= 0 then
+        Array.iter
+          (fun h ->
+            if dominates h p then begin
+              let l = bl.block.(h).label in
+              let cur = try Hashtbl.find back l with Not_found -> [] in
+              Hashtbl.replace back l (b.label :: cur)
+            end)
+          bl.succs.(p))
+    bl.block;
   let loop_of_header header latches =
     (* body = header ∪ nodes that reach a latch without passing header *)
+    let inside = Array.make (Array.length bl.block) false in
+    inside.(bl.pos header) <- true;
     let body = ref (Iset.singleton header) in
-    let rec up l =
-      if not (Iset.mem l !body) then begin
-        body := Iset.add l !body;
-        let preds = try Hashtbl.find preds_tbl l with Not_found -> [] in
-        List.iter up (List.filter (fun p -> Iset.mem p reach) preds)
+    let rec up p =
+      if not inside.(p) then begin
+        inside.(p) <- true;
+        body := Iset.add bl.block.(p).label !body;
+        List.iter up preds.(p)
       end
     in
-    List.iter up latches;
+    List.iter (fun l -> up (bl.pos l)) latches;
     { header; body = !body; back_edges = latches }
   in
   let loops =

@@ -7,7 +7,9 @@ val reachable : Vir.Ir.func -> Iset.t
 
 val dominators : Vir.Ir.func -> (int, Iset.t) Hashtbl.t
 (** [dominators f] maps each reachable label to the set of labels that
-    dominate it (including itself).  Iterative dataflow. *)
+    dominate it (including itself).  Cooper–Harvey–Kennedy immediate
+    dominators over blocks indexed by layout position; the table is
+    filled in layout order. *)
 
 type loop = {
   header : int;

@@ -1,5 +1,6 @@
 open Vir.Ir
 module Iset = Cfg_utils.Iset
+module Bits = Analysis.Dataflow.Bits
 
 (* ------------------------------------------------------------------ *)
 (* simplify_cfg                                                        *)
@@ -446,19 +447,15 @@ let lvn f = List.iter (lvn_block f) f.blocks
 (* Liveness and dead-code elimination                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Block-level liveness on the shared worklist solver; the fixpoint of the
-   liveness equations is unique, so the tables are identical to the
-   historical in-pass iteration (test/frozen_liveness.ml keeps that
-   implementation as a differential oracle). *)
-let liveness f = Analysis.Dataflow.Liveness.solve f
-
+(* One liveness solve per round; each block is then walked backward over
+   a copy of its live-out bits. *)
 let dce_once f =
-  let _, live_out = liveness f in
+  let lv = Analysis.Dataflow.Liveness.solve f in
   let changed = ref false in
-  List.iter
-    (fun b ->
-      let live = ref (Hashtbl.find live_out b.label) in
-      List.iter (fun r -> live := Iset.add r !live) (term_uses b.term);
+  List.iteri
+    (fun p b ->
+      let live = Array.copy lv.live_out.(p) in
+      List.iter (Bits.add live) (term_uses b.term);
       (* walk backwards *)
       let kept =
         List.fold_left
@@ -467,7 +464,7 @@ let dce_once f =
               instr_has_side_effect i
               ||
               match instr_def i with
-              | Some d -> Iset.mem d !live
+              | Some d -> Bits.mem live d
               | None ->
                 (* defines only a vector register; vector liveness is
                    block-local in generated code, so keep it *)
@@ -475,9 +472,9 @@ let dce_once f =
             in
             if keep then begin
               (match instr_def i with
-              | Some d -> live := Iset.remove d !live
+              | Some d -> Bits.remove live d
               | None -> ());
-              List.iter (fun r -> live := Iset.add r !live) (instr_uses i);
+              List.iter (Bits.add live) (instr_uses i);
               i :: kept
             end
             else begin

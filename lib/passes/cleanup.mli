@@ -24,15 +24,11 @@ val lvn : Vir.Ir.func -> unit
 
 val dce : Vir.Ir.func -> unit
 (** Global dead-code elimination driven by liveness analysis over the
-    CFG.  Removes side-effect-free instructions whose destination is
-    dead.  Runs to a fixpoint. *)
+    CFG ({!Analysis.Dataflow.Liveness}, solved once per round).  Removes
+    side-effect-free instructions whose destination is dead.  Runs to a
+    fixpoint. *)
 
 val run_baseline : Vir.Ir.func -> unit
 (** The standard clean sequence: simplify_cfg, mem2reg, lvn, dce,
     simplify_cfg — applied after lowering and between transformation
     passes. *)
-
-val liveness :
-  Vir.Ir.func -> (int, Cfg_utils.Iset.t) Hashtbl.t * (int, Cfg_utils.Iset.t) Hashtbl.t
-(** [(live_in, live_out)] register sets per block label.  Exposed for the
-    register allocator. *)

@@ -1,12 +1,13 @@
 (* Frozen pre-framework dataflow implementations, kept verbatim as
    differential oracles for [Analysis.Dataflow].
 
-   Until the shared worklist solver landed, [Passes.Cleanup.liveness],
+   Until the shared worklist solver landed, [Passes.Cleanup]'s liveness,
    [Codegen.Emit]'s vector liveness and [Passes.Cfg_utils.dominators]
    each carried their own round-robin iterate-until-stable loop.  Those
    loops are copied here unchanged: the liveness and dominator fixpoints
-   are unique, so the solver-backed replacements must reproduce these
-   tables exactly, on every function [Test_analysis] throws at them. *)
+   are unique, so their replacements (today the dense liveness kernel
+   and Cooper–Harvey–Kennedy dominators) must reproduce these tables
+   exactly, on every function [Test_analysis] throws at them. *)
 
 open Vir.Ir
 module Iset = Analysis.Dataflow.Iset

@@ -61,6 +61,63 @@ let random_func seed =
   in
   mkfunc ~params:[ 0 ] ~nregs blocks
 
+(* A random CFG with the shapes a dense kernel can get wrong: labels
+   spread out and not starting at 0 (sometimes far enough apart that
+   block indexing cannot use a direct table), successor labels that name
+   no block, scalar and vector registers numbered past 63 so a bitset
+   needs several words, and a [Loop_branch] counter. *)
+let random_wide_func seed =
+  let rng = Util.Rng.create seed in
+  let n = 1 + Util.Rng.int rng 10 in
+  let gap = if Util.Rng.int rng 4 = 0 then 100_000 else 1 + Util.Rng.int rng 5 in
+  let base = 1 + Util.Rng.int rng 50 in
+  let labels = Array.make n 0 in
+  let next = ref base in
+  for k = 0 to n - 1 do
+    labels.(k) <- !next;
+    next := !next + 1 + Util.Rng.int rng gap
+  done;
+  (* one in six targets names no block: a label in a gap between blocks
+     when there is one, else one past the last block *)
+  let target () =
+    if Util.Rng.int rng 6 = 0 then
+      let l = labels.(Util.Rng.int rng n) + 1 in
+      if Array.mem l labels then !next + Util.Rng.int rng 4 else l
+    else labels.(Util.Rng.int rng n)
+  in
+  let spread = 1 + Util.Rng.int rng 200 in
+  let pool = Array.init (2 + Util.Rng.int rng 8) (fun _ -> Util.Rng.int rng spread) in
+  let reg () = pool.(Util.Rng.int rng (Array.length pool)) in
+  let vreg () = Util.Rng.int rng 70 in
+  let blocks =
+    List.init n (fun k ->
+        let instrs =
+          List.init (Util.Rng.int rng 5) (fun _ ->
+              match Util.Rng.int rng 6 with
+              | 0 -> Mov (reg (), Reg (reg ()))
+              | 1 -> Bin (Add, reg (), Reg (reg ()), Imm 1)
+              | 2 -> Vsplat (vreg (), Reg (reg ()))
+              | 3 -> Vbin (Add, vreg (), vreg (), vreg ())
+              | 4 -> Vreduce (Add, reg (), vreg ())
+              | _ -> Un (Neg, reg (), Reg (reg ())))
+        in
+        let term =
+          match Util.Rng.int rng 6 with
+          | 0 -> Ret (Some (Reg (reg ())))
+          | 1 | 2 -> Jmp (target ())
+          | 3 -> Br (Reg (reg ()), target (), target ())
+          | 4 -> Loop_branch (reg (), target (), target ())
+          | _ ->
+            Switch (Reg (reg ()), [ (0, target ()); (7, target ()) ], target ())
+        in
+        mkblock labels.(k) instrs term)
+  in
+  {
+    (mkfunc ~params:[ pool.(0) ] ~nregs:spread blocks) with
+    next_vreg = 70;
+    next_label = !next;
+  }
+
 let table_equal t1 t2 =
   Hashtbl.length t1 = Hashtbl.length t2
   && Hashtbl.fold
@@ -70,6 +127,26 @@ let table_equal t1 t2 =
             | Some v' -> Iset.equal v v'
             | None -> false)
        t1 true
+
+(* The dense liveness result as per-label tables, the frozen oracle's
+   shape. *)
+let tables (lv : DF.liveness) f =
+  let table facts =
+    let t = Hashtbl.create 16 in
+    List.iteri
+      (fun p b ->
+        let s = ref Iset.empty in
+        DF.Bits.iter (fun r -> s := Iset.add r !s) facts.(p);
+        Hashtbl.replace t b.label !s)
+      f.blocks;
+    t
+  in
+  (table lv.live_in, table lv.live_out)
+
+let liveness_matches solve frozen f =
+  let in1, out1 = tables (solve f) f in
+  let in2, out2 = frozen f in
+  table_equal in1 in2 && table_equal out1 out2
 
 let funcs_of_fuzz seed =
   let prog = Fuzzgen.generate seed in
@@ -92,7 +169,7 @@ let prop_liveness_fixpoint =
   QCheck.Test.make ~name:"solver: liveness solution is a fixpoint" ~count:200
     QCheck.small_nat (fun seed ->
       let f = random_func (seed * 7 + 1) in
-      let live_in, live_out = DF.Liveness.solve f in
+      let live_in, live_out = tables (DF.Liveness.solve f) f in
       List.for_all
         (fun b ->
           let out =
@@ -112,9 +189,7 @@ let prop_liveness_frozen_random =
     ~name:"solver: liveness = frozen in-pass iteration (random CFGs)"
     ~count:200 QCheck.small_nat (fun seed ->
       let f = random_func (seed * 13 + 5) in
-      let in1, out1 = DF.Liveness.solve f in
-      let in2, out2 = Frozen_liveness.liveness f in
-      table_equal in1 in2 && table_equal out1 out2)
+      liveness_matches DF.Liveness.solve Frozen_liveness.liveness f)
 
 let prop_dominators_frozen_random =
   QCheck.Test.make
@@ -125,6 +200,19 @@ let prop_dominators_frozen_random =
       let d2 = Frozen_liveness.dominators f in
       table_equal d1 d2)
 
+(* The same locks on CFGs with spread labels, dangling successors and
+   registers past one bitset word. *)
+let prop_wide_frozen =
+  QCheck.Test.make
+    ~name:"solver: liveness/vliveness/dominators = frozen (wide random CFGs)"
+    ~count:300 QCheck.small_nat (fun seed ->
+      let f = random_wide_func (seed * 31 + 11) in
+      liveness_matches DF.Liveness.solve Frozen_liveness.liveness f
+      && liveness_matches DF.Vliveness.solve Frozen_liveness.vliveness f
+      && table_equal
+           (Passes.Cfg_utils.dominators f)
+           (Frozen_liveness.dominators f))
+
 (* Differential lock on real compiler output: raw lowering and the full
    -O3 pipeline of fuzzer-generated programs. *)
 let prop_liveness_frozen_fuzzed =
@@ -133,16 +221,45 @@ let prop_liveness_frozen_fuzzed =
     QCheck.small_nat (fun seed ->
       List.for_all
         (fun f ->
-          let in1, out1 = DF.Liveness.solve f in
-          let in2, out2 = Frozen_liveness.liveness f in
-          let vin1, vout1 = DF.Vliveness.solve f in
-          let vin2, vout2 = Frozen_liveness.vliveness f in
-          table_equal in1 in2 && table_equal out1 out2
-          && table_equal vin1 vin2 && table_equal vout1 vout2
+          liveness_matches DF.Liveness.solve Frozen_liveness.liveness f
+          && liveness_matches DF.Vliveness.solve Frozen_liveness.vliveness f
           && table_equal
                (Passes.Cfg_utils.dominators f)
                (Frozen_liveness.dominators f))
         (funcs_of_fuzz (seed + 500)))
+
+(* Codegen solves scalar liveness once per function (the allocator and
+   branch fusion share it) and vector liveness once; DCE and the lint
+   add none.  The counts are deterministic work, not time. *)
+let test_liveness_counters () =
+  let p = Toolchain.Flags.gcc in
+  let cfg =
+    Toolchain.Flags.resolve p (Option.get (Toolchain.Flags.preset p "O2"))
+  in
+  let ir =
+    Toolchain.Pipeline.apply_passes cfg
+      (Corpus.program (Corpus.find "462.libquantum"))
+  in
+  let counts () =
+    let t = Telemetry.create () in
+    Telemetry.set_global t;
+    Fun.protect
+      ~finally:(fun () -> Telemetry.set_global Telemetry.null)
+      (fun () ->
+        ignore
+          (Codegen.Emit.compile_program ~arch:Isa.Insn.X86_64 ~profile:"gcc"
+             ~opt_label:"-O2" ir));
+    ( Telemetry.counter_value t "dataflow.liveness.solves",
+      Telemetry.counter_value t "dataflow.liveness.block_visits" )
+  in
+  let solves, visits = counts () in
+  Alcotest.(check int)
+    "one scalar and one vector solve per function"
+    (2 * List.length ir.funcs)
+    solves;
+  Alcotest.(check bool) "blocks were visited" true (visits > 0);
+  Alcotest.(check (pair int int)) "counts are deterministic" (solves, visits)
+    (counts ())
 
 (* ------------------------------------------------------------------ *)
 (* Constant propagation and intervals                                  *)
@@ -467,6 +584,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_liveness_frozen_random;
     QCheck_alcotest.to_alcotest prop_dominators_frozen_random;
     QCheck_alcotest.to_alcotest prop_liveness_frozen_fuzzed;
+    QCheck_alcotest.to_alcotest prop_wide_frozen;
+    Alcotest.test_case "liveness work counters" `Quick test_liveness_counters;
     Alcotest.test_case "constprop diamond" `Quick test_constprop_diamond;
     Alcotest.test_case "constprop conflicting join" `Quick
       test_constprop_conflicting_join;

@@ -22,6 +22,7 @@ let () =
       ("fuzz", Test_fuzz.tests);
       ("incremental", Frozen_incremental.tests);
       ("frozen-passes", Frozen_passes.tests);
+      ("frozen-loops", Frozen_loops.tests);
       ("flags", Test_flags.tests);
       ("vm", Test_vm.tests);
       ("frozen-vm", Frozen_vm.tests);
