@@ -147,15 +147,6 @@ let tune_cmd =
                "Print an aggregated telemetry summary after tuning, including \
                 the compile/NCD/BinHunt/functional-check cost split.")
   in
-  let incremental =
-    Arg.(value & opt bool true
-         & info [ "incremental" ]
-             ~doc:
-               "Share a pass-prefix snapshot store across the run's \
-                compiles, resuming each candidate from the longest \
-                pipeline prefix already compiled.  Lossless — results \
-                are identical on or off; only wall-clock changes.")
-  in
   let objective_conv =
     let parse s =
       match Search.Objective.parse s with
@@ -182,7 +173,7 @@ let tune_cmd =
                 non-dominated front alongside the weighted-sum best.")
   in
   let run bench source p arch lz_level iterations strategy jobs db trace
-      prof incremental objectives =
+      prof objectives =
     Compress.Lz.set_default_level lz_level;
     let _, b = load_program ~bench ~source in
     (* read the database before tuning: a malformed file must not cost
@@ -209,8 +200,8 @@ let tune_cmd =
     let r =
       Parallel.Pool.with_pool j (fun pool ->
           Bintuner.Tuner.tune ~arch ~termination
-            ~strategy:(Search.of_name strategy) ~pool ~incremental
-            ~objectives ~profile:p b)
+            ~strategy:(Search.of_name strategy) ~pool ~objectives ~profile:p
+            b)
     in
     Printf.printf
       "tuned %s with %s [%s]: %d iterations, fitness NCD %.3f, functional %b\n"
@@ -233,11 +224,10 @@ let tune_cmd =
     let counter = Bintuner.Tuner.counter r in
     Printf.printf "compile memo: %d of %d compile requests served from cache (-j %d)\n"
       (counter "memo.hit") (counter "memo.hit" + counter "memo.miss") j;
-    if incremental then
-      Printf.printf
-        "prefix cache: %d of %d snapshot lookups hit (compiles resume \
-         mid-pipeline)\n"
-        (counter "incr.hit") (counter "incr.hit" + counter "incr.miss");
+    Printf.printf
+      "prefix cache: %d of %d snapshot lookups hit (compiles resume \
+       mid-pipeline)\n"
+      (counter "incr.hit") (counter "incr.hit" + counter "incr.miss");
     List.iter (fun (n, v) -> Printf.printf "  %-3s fitness %.3f\n" n v) r.preset_ncd;
     Printf.printf "flags: %s\n"
       (String.concat " " (Bintuner.Tuner.flags_enabled p r.best_vector));
@@ -254,7 +244,7 @@ let tune_cmd =
   Cmd.v (Cmd.info "tune" ~doc:"Run BinTuner's iterative compilation on a benchmark.")
     Term.(const run $ bench_arg $ source_arg $ profile_arg $ arch_arg
           $ lz_level_arg $ iterations $ strategy_arg $ jobs $ db $ trace $ prof
-          $ incremental $ objective_arg)
+          $ objective_arg)
 
 let serve_cmd =
   let jobs =

@@ -5,7 +5,7 @@
    [Ijtab] jump-table targets — and cross-checks the result against the
    linear sweep ([Isa.Binary.analyze]) and, when supplied, against the
    compiler's ground-truth instruction boundaries (threaded out of
-   codegen via [Pipeline.compile ~boundaries]).
+   codegen via [Pipeline.compile_preset ~boundaries]).
 
    On this ISA the two disassemblies must agree instruction for
    instruction on everything the descent reaches, and the linear sweep

@@ -5,7 +5,7 @@
     and cross-checks the result against the linear sweep
     ({!Isa.Binary.analyze}) and, when supplied, the compiler's
     ground-truth instruction boundaries (from
-    [Toolchain.Pipeline.compile ~boundaries]).  Any {!mismatch} is a
+    [Toolchain.Pipeline.compile_preset ~boundaries]).  Any {!mismatch} is a
     real defect in codec, assembler or CFG recovery; the ci.sh inspect
     gate keeps the corpus at zero.  Bytes the descent never reaches
     (alignment nops after unconditional transfers) are reported as
@@ -48,4 +48,4 @@ type t = {
 
 val recover : ?ground_truth:(string, int list) Hashtbl.t -> Isa.Binary.t -> t
 (** [ground_truth] maps function name → ascending true instruction-start
-    offsets, as filled in by [Pipeline.compile ~boundaries]. *)
+    offsets, as filled in by [Pipeline.compile_preset ~boundaries]. *)

@@ -25,7 +25,7 @@ val create : ?max_bytes:int -> unit -> t
 
 val snapshot_store : t -> Toolchain.Pipeline.snapshot_store
 (** The closure record to inject into [Pipeline.compile_flags] /
-    [compile] / [apply_passes].  Safe to share across domains. *)
+    [compile_preset].  Safe to share across domains. *)
 
 val hits : t -> int
 

@@ -51,6 +51,6 @@ let evaluate_analyzed (tool : Tools.tool) (ca : Bcode.t) (cb : Bcode.t) =
 let evaluate tool bin_a bin_b =
   evaluate_analyzed tool (Bcode.analyze bin_a) (Bcode.analyze bin_b)
 
-let evaluate_all ?(tools = Tools.all) bin_a bin_b =
+let evaluate_all bin_a bin_b =
   let ca = Bcode.analyze bin_a and cb = Bcode.analyze bin_b in
-  List.map (fun t -> evaluate_analyzed t ca cb) tools
+  List.map (fun t -> evaluate_analyzed t ca cb) Tools.all

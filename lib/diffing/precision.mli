@@ -17,5 +17,6 @@ type report = {
 
 val evaluate : Tools.tool -> Isa.Binary.t -> Isa.Binary.t -> report
 
-val evaluate_all :
-  ?tools:Tools.tool list -> Isa.Binary.t -> Isa.Binary.t -> report list
+val evaluate_all : Isa.Binary.t -> Isa.Binary.t -> report list
+(** {!evaluate} of every tool in {!Tools.all}, analyzing each binary
+    once. *)

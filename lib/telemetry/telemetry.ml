@@ -1,9 +1,10 @@
 (* A small thread-safe tracing/metrics layer for the tuning stack.
 
    Three primitives — spans (timed regions), counters, gauges — feed two
-   outputs: an optional ndjson event stream (one JSON object per line,
-   written as events happen) and an always-on in-memory aggregation
-   (per span name: call count, total/max seconds, per-domain busy time)
+   outputs: an optional ndjson event stream (one JSON object per line;
+   spans and gauges are written as they happen, counters as running
+   totals at each [flush]) and an always-on in-memory aggregation (per
+   span name: call count, total/max seconds, per-domain busy time)
    rendered by [summary].
 
    The disabled instance ([null], the global default) short-circuits
@@ -41,13 +42,17 @@ type span_stat = {
 
 type gauge_stat = { mutable last : float; mutable peak : float }
 
+(* [flushed] is the value the sink last saw; [flush] writes the counter
+   again only once [value] has moved past it. *)
+type counter = { mutable value : int; mutable flushed : int }
+
 type t = {
   enabled : bool;
   sink : sink;
   mutex : Mutex.t;
   epoch : float;
   spans : (string, span_stat) Hashtbl.t;
-  counters : (string, int ref) Hashtbl.t;
+  counters : (string, counter) Hashtbl.t;
   gauges : (string, gauge_stat) Hashtbl.t;
 }
 
@@ -72,8 +77,6 @@ let create ?(sink = Null) () =
     counters = Hashtbl.create 32;
     gauges = Hashtbl.create 16;
   }
-
-let enabled t = t.enabled
 
 (* ------------------------------------------------------------------ *)
 (* ndjson emission                                                     *)
@@ -132,6 +135,18 @@ let emit_line t ~kind ~name ~ts ~domain ~fields ~attrs =
     | Null -> ())
 
 (* ------------------------------------------------------------------ *)
+(* Global instance                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Set once at startup (before worker domains exist) by the drivers;
+   everything else reads it.  The default is the disabled instance. *)
+let global_t = Atomic.make null
+
+let set_global t = Atomic.set global_t t
+
+let global () = Atomic.get global_t
+
+(* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -172,7 +187,8 @@ let with_ambient_attrs attrs f =
   Domain.DLS.set ambient_attrs (attrs @ prev);
   Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_attrs prev) f
 
-let span t ?(attrs = []) name f =
+let with_span ?(attrs = []) name f =
+  let t = global () in
   if not t.enabled then f ()
   else begin
     let attrs =
@@ -195,26 +211,22 @@ let span t ?(attrs = []) name f =
 (* Counters and gauges                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let count t ?(by = 1) name =
+(* A counter bump only adds to the in-memory total: per-call work
+   counters (liveness solves, VM steps) fire tens of thousands of times a
+   run, so the stream carries one running-total line per changed counter
+   at each [flush] instead of one line per bump. *)
+let add_count ?(by = 1) name =
+  let t = global () in
   if t.enabled then begin
-    let ts = now () -. t.epoch in
     Mutex.lock t.mutex;
-    let total =
-      match Hashtbl.find_opt t.counters name with
-      | Some r ->
-        r := !r + by;
-        !r
-      | None ->
-        Hashtbl.replace t.counters name (ref by);
-        by
-    in
-    emit_line t ~kind:"count" ~name ~ts ~domain:(domain_id ())
-      ~fields:[ ("by", string_of_int by); ("value", string_of_int total) ]
-      ~attrs:[];
+    (match Hashtbl.find_opt t.counters name with
+    | Some c -> c.value <- c.value + by
+    | None -> Hashtbl.replace t.counters name { value = by; flushed = 0 });
     Mutex.unlock t.mutex
   end
 
-let gauge t name v =
+let set_gauge name v =
+  let t = global () in
   if t.enabled then begin
     let ts = now () -. t.epoch in
     Mutex.lock t.mutex;
@@ -230,30 +242,14 @@ let gauge t name v =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Global instance                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Set once at startup (before worker domains exist) by the drivers;
-   everything else reads it.  The default is the disabled instance. *)
-let global_t = Atomic.make null
-
-let set_global t = Atomic.set global_t t
-
-let global () = Atomic.get global_t
-
-let with_span ?attrs name f = span (global ()) ?attrs name f
-
-let add_count ?by name = count (global ()) ?by name
-
-let set_gauge name v = gauge (global ()) name v
-
-(* ------------------------------------------------------------------ *)
 (* Inspection and summary                                              *)
 (* ------------------------------------------------------------------ *)
 
 let counter_value t name =
   Mutex.lock t.mutex;
-  let v = match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0 in
+  let v =
+    match Hashtbl.find_opt t.counters name with Some c -> c.value | None -> 0
+  in
   Mutex.unlock t.mutex;
   v
 
@@ -275,6 +271,16 @@ let span_seconds t name =
 
 let flush t =
   Mutex.lock t.mutex;
+  let ts = now () -. t.epoch and domain = domain_id () in
+  Hashtbl.fold
+    (fun name c acc -> if c.value <> c.flushed then (name, c) :: acc else acc)
+    t.counters []
+  |> List.sort compare
+  |> List.iter (fun (name, c) ->
+         emit_line t ~kind:"count" ~name ~ts ~domain
+           ~fields:[ ("value", string_of_int c.value) ]
+           ~attrs:[];
+         c.flushed <- c.value);
   (match t.sink with Channel oc -> Stdlib.flush oc | _ -> ());
   Mutex.unlock t.mutex
 
@@ -305,7 +311,7 @@ let summary t =
         spans
     end;
     let counters =
-      Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
+      Hashtbl.fold (fun name c acc -> (name, c.value) :: acc) t.counters []
       |> List.sort compare
     in
     if counters <> [] then begin

@@ -6,8 +6,10 @@
     gauges recorded from any domain, aggregated in memory, and optionally
     streamed to an ndjson sink (one JSON object per line).
 
-    Instrumented code uses the process-global instance through
-    {!with_span}, {!add_count}, and {!set_gauge}.  The default global
+    Everything records into the process-global instance through
+    {!with_span}, {!add_count}, and {!set_gauge}; a driver or a test
+    installs an instance with {!set_global} and reads it back through the
+    inspection functions.  The default global
     instance is {!null}, which is {e disabled}: every entry point
     short-circuits on one flag test before allocating or locking, so
     instrumentation is free when tracing is off.  Telemetry is purely
@@ -23,7 +25,9 @@ type t
 
 type sink =
   | Null  (** aggregate in memory only; no event stream *)
-  | Channel of out_channel  (** ndjson lines, written as events happen *)
+  | Channel of out_channel
+      (** ndjson lines: spans and gauges as they happen, counters at
+          {!flush} *)
   | Buffer of Buffer.t  (** ndjson lines into a buffer (tests) *)
 
 val null : t
@@ -32,8 +36,6 @@ val null : t
 val create : ?sink:sink -> unit -> t
 (** A fresh enabled instance.  [sink] defaults to [Null] (aggregation
     and {!summary} still work; nothing is streamed). *)
-
-val enabled : t -> bool
 
 (** {1 Global instance} *)
 
@@ -59,19 +61,13 @@ val with_ambient_attrs : (string * string) list -> (unit -> 'a) -> 'a
     telemetry is disabled beyond one domain-local read per span. *)
 
 val add_count : ?by:int -> string -> unit
-(** Increment a named counter on the global instance (default [by:1]). *)
+(** Increment a named counter on the global instance (default [by:1]).
+    Only the in-memory total changes: the sink sees the counter at the
+    next {!flush}. *)
 
 val set_gauge : string -> float -> unit
 (** Record a named gauge observation on the global instance; the
     aggregation keeps the last and peak values. *)
-
-(** {1 Instance-level operations} *)
-
-val span : t -> ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-
-val count : t -> ?by:int -> string -> unit
-
-val gauge : t -> string -> float -> unit
 
 (** {1 Inspection} *)
 
@@ -93,4 +89,6 @@ val summary : t -> string
     present). *)
 
 val flush : t -> unit
-(** Flush a [Channel] sink. *)
+(** Write one [count] line, carrying the running total, for each counter
+    incremented since the previous flush (in name order), then flush a
+    [Channel] sink.  Drivers call it once at exit. *)

@@ -288,25 +288,15 @@ let run_plan ~verify ~where ?snapshot ~seed steps ast =
     done;
     finish !stage
 
-let apply_passes ?verify ?(where = "") ?snapshot ?cache_seed:seed
-    (cfg : Config.t) (ast : Minic.Ast.program) : Vir.Ir.program =
-  let verify = match verify with Some v -> v | None -> !verify_default in
-  let steps = plan ~verify ~where cfg in
-  match snapshot with
-  | None -> run_plan ~verify ~where ~seed:"" steps ast
-  | Some store ->
-    let seed =
-      match seed with
-      | Some s -> s
-      | None -> Digest.string (program_digest ast ^ "|anon")
-    in
-    run_plan ~verify ~where ~snapshot:store ~seed steps ast
+let apply_passes (cfg : Config.t) (ast : Minic.Ast.program) : Vir.Ir.program =
+  let verify = !verify_default and where = "" in
+  run_plan ~verify ~where ~seed:"" (plan ~verify ~where cfg) ast
 
 let codegen_options_digest config =
   Digest.string (Marshal.to_string (Config.codegen_options config) [])
 
-let compile ?(config = Config.o0) ?verify ?(flag_desc = "") ?snapshot
-    ?boundaries ~arch ~profile ~opt_label ast =
+let compile ~config ~flag_desc ?snapshot ?boundaries ~arch ~profile ~opt_label
+    ast =
   Telemetry.with_span
     ~attrs:
       [
@@ -316,23 +306,22 @@ let compile ?(config = Config.o0) ?verify ?(flag_desc = "") ?snapshot
       ]
     "compile"
     (fun () ->
-      let verify = match verify with Some v -> v | None -> !verify_default in
+      let verify = !verify_default in
       let where =
         Printf.sprintf " [profile=%s arch=%s opt=%s%s]" profile
           (Isa.Insn.arch_name arch) opt_label flag_desc
       in
-      let codegen ir =
+      let steps = plan ~verify ~where config in
+      let emitted seed =
+        let ir = run_plan ~verify ~where ?snapshot ~seed steps ast in
         Telemetry.with_span "pass.codegen" (fun () ->
             Codegen.Emit.compile_program
               ~options:(Config.codegen_options config)
               ?boundaries ~arch ~profile ~opt_label ir)
       in
       match snapshot with
-      | None ->
-        let steps = plan ~verify ~where config in
-        codegen (run_plan ~verify ~where ~seed:"" steps ast)
-      | Some store ->
-        let steps = plan ~verify ~where config in
+      | None -> emitted ""
+      | Some store -> (
         let seed = cache_seed ~profile ~arch ast in
         let keys = prefix_keys ~seed steps in
         let final_key =
@@ -347,23 +336,18 @@ let compile ?(config = Config.o0) ?verify ?(flag_desc = "") ?snapshot
             (final_key ^ "|emit|" ^ opt_label ^ "|"
            ^ codegen_options_digest config)
         in
+        (* a verified build re-runs the gated pipeline end to end so the
+           verifier actually sees IR; only the IR-stage snapshots (which
+           are verified on restore) may shorten it.  A boundary-oracle
+           build must also run codegen for real — a restored binary
+           carries no instruction-boundary ground truth. *)
         let restored =
-          (* a verified build re-runs the gated pipeline end to end so the
-             verifier actually sees IR; only the IR-stage snapshots (which
-             are verified on restore) may shorten it.  A boundary-oracle
-             build must also run codegen for real — a restored binary
-             carries no instruction-boundary ground truth. *)
-          if verify || boundaries <> None then None
-          else
-            Option.map
-              (fun data -> (Marshal.from_string data 0 : Isa.Binary.t))
-              (store.find emit_key)
+          if verify || boundaries <> None then None else store.find emit_key
         in
-        (match restored with
-        | Some bin -> bin
+        match restored with
+        | Some data -> (Marshal.from_string data 0 : Isa.Binary.t)
         | None ->
-          let ir = run_plan ~verify ~where ~snapshot:store ~seed steps ast in
-          let bin = codegen ir in
+          let bin = emitted seed in
           store.store emit_key (Marshal.to_string bin []);
           bin))
 
@@ -372,16 +356,15 @@ let flag_vector_desc vector =
   ^ String.concat ""
       (List.map (fun b -> if b then "1" else "0") (Array.to_list vector))
 
-let compile_flags p ?(arch = Isa.Insn.X86_64) ?snapshot ?boundaries vector ast
-    =
+let compile_flags p ?(arch = Isa.Insn.X86_64) ?snapshot vector ast =
   let config = Flags.resolve p vector in
-  compile ~config ~flag_desc:(flag_vector_desc vector) ?snapshot ?boundaries
-    ~arch ~profile:p.Flags.profile_name ~opt_label:"custom" ast
+  compile ~config ~flag_desc:(flag_vector_desc vector) ?snapshot ~arch
+    ~profile:p.Flags.profile_name ~opt_label:"custom" ast
 
 let compile_preset p ?(arch = Isa.Insn.X86_64) ?snapshot ?boundaries name ast =
   match name with
   | "O0" ->
-    compile ~config:Config.o0 ?snapshot ?boundaries ~arch
+    compile ~config:Config.o0 ~flag_desc:"" ?snapshot ?boundaries ~arch
       ~profile:p.Flags.profile_name ~opt_label:"-O0" ast
   | _ -> (
     match Flags.preset p name with

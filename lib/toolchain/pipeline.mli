@@ -18,9 +18,11 @@
     or cold, emits the same bytes as a from-scratch compile. *)
 
 val verify_default : bool ref
-(** When true, every compile runs the IR verifier after lowering and after
-    each IR pass (CLI [--verify-ir], bench [-verify]).  Off by default —
-    verification costs a dataflow solve per pass per function. *)
+(** The one verification switch: when true, every compile and
+    {!apply_passes} run the IR verifier after lowering and after each IR
+    pass (CLI [--verify-ir] and [verify], bench [-verify]).  Off by
+    default — verification costs a dataflow solve per pass per
+    function. *)
 
 exception Verification_failed of string
 (** Raised by the verify gate; the message names the offending pass, the
@@ -48,56 +50,27 @@ val cache_seed : profile:string -> arch:Isa.Insn.arch -> Minic.Ast.program -> st
     guard against the cross-profile/cross-arch staleness hazard, pinned
     by the regression tests. *)
 
-val apply_passes :
-  ?verify:bool ->
-  ?where:string ->
-  ?snapshot:snapshot_store ->
-  ?cache_seed:string ->
-  Config.t ->
-  Minic.Ast.program ->
-  Vir.Ir.program
+val apply_passes : Config.t -> Minic.Ast.program -> Vir.Ir.program
 (** Run the AST passes, lowering, and IR passes dictated by the
-    configuration and return the optimized IR (exposed for tests).
-    [verify] defaults to [!verify_default]; [where] is appended to
-    verification-failure messages.  With [snapshot], stage snapshots are
-    read and written through the store, chained from [cache_seed]
-    (default: a digest of the program alone — pass {!cache_seed}'s result
-    to share the store with {!compile}).  A restored IR stage is verified
-    before any further pass runs when verification is on. *)
-
-val compile :
-  ?config:Config.t ->
-  ?verify:bool ->
-  ?flag_desc:string ->
-  ?snapshot:snapshot_store ->
-  ?boundaries:(string, int list) Hashtbl.t ->
-  arch:Isa.Insn.arch ->
-  profile:string ->
-  opt_label:string ->
-  Minic.Ast.program ->
-  Isa.Binary.t
-(** Compile a checked program (see {!Minic.Sema.analyze}).  The default
-    configuration is {!Config.o0}.  With [snapshot], the compile resumes
-    from the longest cached step prefix, and the emitted binary itself is
-    cached under a final key extending the IR chain with the codegen
-    options and labels — a full hit skips the pipeline entirely.  When
-    verification is on the binary-level entry is bypassed (the verifier
-    must see IR), but verified IR-stage snapshots still shorten the
-    pipeline.  With [boundaries], codegen always runs for real (the
-    binary-level cache entry is bypassed) and the table maps each
-    function to its ground-truth instruction-start offsets — see
-    {!Codegen.Emit.compile_program}. *)
+    configuration and return the optimized IR (exposed for tests and the
+    bench's IR-level experiments), verified after every pass when
+    {!verify_default} is set. *)
 
 val compile_flags :
   Flags.profile ->
   ?arch:Isa.Insn.arch ->
   ?snapshot:snapshot_store ->
-  ?boundaries:(string, int list) Hashtbl.t ->
   bool array ->
   Minic.Ast.program ->
   Isa.Binary.t
-(** Compile under an explicit flag vector of the given profile (the
-    GA's entry point).  Default arch x86-64. *)
+(** Compile a checked program (see {!Minic.Sema.analyze}) under an
+    explicit flag vector of the given profile (the GA's entry point).
+    Default arch x86-64.  With [snapshot], the compile resumes from the
+    longest cached step prefix, and the emitted binary itself is cached
+    under a final key extending the IR chain with the codegen options and
+    labels — a full hit skips the pipeline entirely.  When {!verify_default}
+    is set the binary-level entry is bypassed (the verifier must see IR),
+    but verified IR-stage snapshots still shorten the pipeline. *)
 
 val compile_preset :
   Flags.profile ->
@@ -107,5 +80,9 @@ val compile_preset :
   string ->
   Minic.Ast.program ->
   Isa.Binary.t
-(** Compile at a named preset: "O0", "O1", "O2", "O3" or "Os".  Raises
+(** Compile at a named preset: "O0", "O1", "O2", "O3" or "Os", with
+    [snapshot] as in {!compile_flags}.  With [boundaries], codegen always
+    runs for real (the binary-level cache entry is bypassed) and the
+    table maps each function to its ground-truth instruction-start
+    offsets — see {!Codegen.Emit.compile_program}.  Raises
     [Invalid_argument] on an unknown preset name. *)

@@ -34,7 +34,8 @@ let table ~header ~rows =
   List.iter emit_row rows;
   Buffer.contents b
 
-let bar_chart ~title ?(width = 50) data =
+let bar_chart ~title data =
+  let width = 50 in
   let b = Buffer.create 256 in
   Buffer.add_string b (title ^ "\n");
   let maxv = List.fold_left (fun acc (_, v) -> max acc v) 0.0 data in
@@ -54,7 +55,8 @@ let bar_chart ~title ?(width = 50) data =
   List.iter emit data;
   Buffer.contents b
 
-let grouped_bars ~title ~series ?(width = 40) data =
+let grouped_bars ~title ~series data =
+  let width = 40 in
   let b = Buffer.create 512 in
   Buffer.add_string b (title ^ "\n");
   let maxv =
@@ -83,7 +85,8 @@ let grouped_bars ~title ~series ?(width = 40) data =
   List.iter emit data;
   Buffer.contents b
 
-let series_plot ~title ?(height = 12) ?(width = 64) series =
+let series_plot ~title series =
+  let height = 12 and width = 64 in
   let b = Buffer.create 1024 in
   Buffer.add_string b (title ^ "\n");
   let all_max =

@@ -483,8 +483,8 @@ let execute_function ?(fuel = 100_000_000) ?(stack_words = 1 lsl 20) p ~fid
   Telemetry.add_count ~by:steps "vm.steps";
   { output = List.rev st.out_rev; return_value = st.regs.(p.ret_reg); steps }
 
-let execute ?fuel ?stack_words p ~input =
-  execute_function ?fuel ?stack_words p ~fid:p.entry ~args:[] ~input
+let execute p ~input = execute_function p ~fid:p.entry ~args:[] ~input
 
 let run ?fuel ?stack_words bin ~input =
-  execute ?fuel ?stack_words (prepare bin) ~input
+  let p = prepare bin in
+  execute_function ?fuel ?stack_words p ~fid:p.entry ~args:[] ~input

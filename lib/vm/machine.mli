@@ -45,10 +45,9 @@ val prepare : Isa.Binary.t -> prepared
     offset that starts no instruction is not an error yet: the
     instruction traps when a run executes it. *)
 
-val execute :
-  ?fuel:int -> ?stack_words:int -> prepared -> input:int array -> result
-(** Execute from the binary's entry function.  Default fuel 100 million
-    instructions, default stack limit 1 Mi words.  A run that returns
+val execute : prepared -> input:int array -> result
+(** Execute from the binary's entry function, with fuel for 100 million
+    instructions and a stack limit of 1 Mi words.  A run that returns
     adds 1 to the telemetry counter [vm.runs] and its step count to
     [vm.steps]. *)
 
@@ -68,4 +67,5 @@ val execute_function :
 
 val run :
   ?fuel:int -> ?stack_words:int -> Isa.Binary.t -> input:int array -> result
-(** [execute] of [prepare bin]. *)
+(** [execute] of [prepare bin], with [fuel] and [stack_words] limits
+    (defaults as in {!execute}). *)

@@ -494,15 +494,15 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-let test_broken_pass_attribution () =
-  let src = "int main() { int x = 1; int y = x + 2; print_int(y); return y; }" in
-  let prog = Minic.Sema.analyze src in
-  (* positive control: the gate passes on a healthy pipeline *)
-  ignore
-    (Toolchain.Pipeline.compile ~verify:true ~arch:Isa.Insn.X86_64
-       ~profile:"gcc-10.2" ~opt_label:"-O0" prog);
-  (* plant a miscompile inside simplify_cfg: retarget the entry block's
-     terminator at a block that does not exist *)
+(* Run [f] with the one verification switch on. *)
+let with_verify f =
+  Toolchain.Pipeline.verify_default := true;
+  Fun.protect ~finally:(fun () -> Toolchain.Pipeline.verify_default := false) f
+
+(* Plant a miscompile inside simplify_cfg (retarget each function's entry
+   terminator at a block that does not exist) and check that [build],
+   verified, fails naming the pass and the check. *)
+let expect_planted_break_caught build =
   Toolchain.Pipeline.test_break :=
     Some
       ( "simplify_cfg",
@@ -510,10 +510,7 @@ let test_broken_pass_attribution () =
   Fun.protect
     ~finally:(fun () -> Toolchain.Pipeline.test_break := None)
     (fun () ->
-      match
-        Toolchain.Pipeline.compile ~verify:true ~arch:Isa.Insn.X86_64
-          ~profile:"gcc-10.2" ~opt_label:"-O0" prog
-      with
+      match with_verify build with
       | exception Toolchain.Pipeline.Verification_failed msg ->
         Alcotest.(check bool)
           "failure names the broken pass" true
@@ -522,6 +519,24 @@ let test_broken_pass_attribution () =
           "failure names the check" true
           (contains msg "[target]")
       | _ -> Alcotest.fail "planted miscompile was not caught")
+
+let broken_pass_src =
+  "int main() { int x = 1; int y = x + 2; print_int(y); return y; }"
+
+let test_broken_pass_attribution () =
+  let prog = Minic.Sema.analyze broken_pass_src in
+  let compile () =
+    Toolchain.Pipeline.compile_preset Toolchain.Flags.gcc "O0" prog
+  in
+  (* positive control: the gate passes on a healthy pipeline *)
+  ignore (with_verify compile);
+  expect_planted_break_caught compile
+
+(* [apply_passes] reads the same switch as the compile entry points *)
+let test_broken_pass_apply_passes () =
+  let prog = Minic.Sema.analyze broken_pass_src in
+  expect_planted_break_caught (fun () ->
+      Toolchain.Pipeline.apply_passes Toolchain.Config.o0 prog)
 
 (* ------------------------------------------------------------------ *)
 (* Lint                                                                *)
@@ -602,5 +617,7 @@ let tests =
       test_verifier_fuzz_prefixes;
     Alcotest.test_case "broken pass attribution" `Quick
       test_broken_pass_attribution;
+    Alcotest.test_case "broken pass attribution in apply_passes" `Quick
+      test_broken_pass_apply_passes;
     Alcotest.test_case "lint findings" `Quick test_lint_findings;
   ]

@@ -319,8 +319,7 @@ let test_tune_incremental_j_independent () =
       let bench = Corpus.find name in
       let run j =
         Parallel.Pool.with_pool j (fun pool ->
-            Bintuner.Tuner.tune ~termination:term_small ~pool ~incremental:true
-              ~profile bench)
+            Bintuner.Tuner.tune ~termination:term_small ~pool ~profile bench)
       in
       let r1 = run 1 and r2 = run 2 in
       let label = name ^ "/" ^ profile.Toolchain.Flags.profile_name ^ " j1=j2" in

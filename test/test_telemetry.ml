@@ -10,32 +10,38 @@ let contains haystack needle =
   let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
   n = 0 || at 0
 
+(* Recording goes through the process-global instance only, so each test
+   installs its own instance for its duration. *)
+let with_global t f =
+  Telemetry.set_global t;
+  Fun.protect ~finally:(fun () -> Telemetry.set_global Telemetry.null) f
+
 let test_null_is_noop () =
   let t = Telemetry.null in
-  Alcotest.(check bool) "disabled" false (Telemetry.enabled t);
-  (* operations neither fail nor record anything *)
-  Alcotest.(check int) "span passes value through" 41
-    (Telemetry.span t "x" (fun () -> 41));
-  Telemetry.count t "c";
-  Telemetry.gauge t "g" 3.0;
-  Alcotest.(check int) "no counter" 0 (Telemetry.counter_value t "c");
-  Alcotest.(check int) "no span" 0 (Telemetry.span_calls t "x");
-  Alcotest.(check bool) "summary says disabled" true
-    (String.length (Telemetry.summary t) > 0);
-  (* exceptions still propagate through a disabled span *)
-  Alcotest.check_raises "raise through null span" Probe (fun () ->
-      Telemetry.span t "x" (fun () -> raise Probe))
+  with_global t (fun () ->
+      (* operations neither fail nor record anything *)
+      Alcotest.(check int) "span passes value through" 41
+        (Telemetry.with_span "x" (fun () -> 41));
+      Telemetry.add_count "c";
+      Telemetry.set_gauge "g" 3.0;
+      Alcotest.(check int) "no counter" 0 (Telemetry.counter_value t "c");
+      Alcotest.(check int) "no span" 0 (Telemetry.span_calls t "x");
+      Alcotest.(check bool) "summary says disabled" true
+        (contains (Telemetry.summary t) "disabled");
+      (* exceptions still propagate through a disabled span *)
+      Alcotest.check_raises "raise through null span" Probe (fun () ->
+          Telemetry.with_span "x" (fun () -> raise Probe)))
 
 let test_aggregation () =
   let t = Telemetry.create () in
-  Alcotest.(check bool) "enabled" true (Telemetry.enabled t);
-  ignore (Telemetry.span t "work" (fun () -> 1));
-  ignore (Telemetry.span t "work" (fun () -> 2));
-  Telemetry.count t "events";
-  Telemetry.count t ~by:4 "events";
-  Telemetry.gauge t "depth" 2.0;
-  Telemetry.gauge t "depth" 7.0;
-  Telemetry.gauge t "depth" 3.0;
+  with_global t (fun () ->
+      ignore (Telemetry.with_span "work" (fun () -> 1));
+      ignore (Telemetry.with_span "work" (fun () -> 2));
+      Telemetry.add_count "events";
+      Telemetry.add_count ~by:4 "events";
+      Telemetry.set_gauge "depth" 2.0;
+      Telemetry.set_gauge "depth" 7.0;
+      Telemetry.set_gauge "depth" 3.0);
   Alcotest.(check int) "span calls" 2 (Telemetry.span_calls t "work");
   Alcotest.(check bool) "span seconds non-negative" true
     (Telemetry.span_seconds t "work" >= 0.0);
@@ -49,8 +55,9 @@ let test_aggregation () =
 
 let test_span_records_on_exception () =
   let t = Telemetry.create () in
-  Alcotest.check_raises "re-raised" Probe (fun () ->
-      Telemetry.span t "failing" (fun () -> raise Probe));
+  with_global t (fun () ->
+      Alcotest.check_raises "re-raised" Probe (fun () ->
+          Telemetry.with_span "failing" (fun () -> raise Probe)));
   Alcotest.(check int) "span still recorded" 1
     (Telemetry.span_calls t "failing")
 
@@ -70,15 +77,20 @@ let json_field line key =
   in
   find 0
 
+let lines_of buf =
+  List.filter (fun l -> l <> "") (String.split_on_char '\n' (Buffer.contents buf))
+
 let test_ndjson_stream () =
   let buf = Buffer.create 256 in
   let t = Telemetry.create ~sink:(Telemetry.Buffer buf) () in
-  ignore (Telemetry.span t ~attrs:[ ("k", "v") ] "alpha" (fun () -> ()));
-  Telemetry.count t "beta";
-  Telemetry.gauge t "gamma" 1.5;
-  let lines =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' (Buffer.contents buf))
-  in
+  with_global t (fun () ->
+      ignore (Telemetry.with_span ~attrs:[ ("k", "v") ] "alpha" (fun () -> ()));
+      Telemetry.add_count "beta";
+      Telemetry.set_gauge "gamma" 1.5);
+  (* spans and gauges stream as they happen; counters wait for flush *)
+  Alcotest.(check int) "two events before flush" 2 (List.length (lines_of buf));
+  Telemetry.flush t;
+  let lines = lines_of buf in
   Alcotest.(check int) "three events" 3 (List.length lines);
   List.iter
     (fun l ->
@@ -87,7 +99,7 @@ let test_ndjson_stream () =
     lines;
   Alcotest.(check (list (option string)))
     "event names in order"
-    [ Some "alpha"; Some "beta"; Some "gamma" ]
+    [ Some "alpha"; Some "gamma"; Some "beta" ]
     (List.map (fun l -> json_field l "name") lines);
   (* the span line carries its attribute *)
   Alcotest.(check (option string)) "span attr" (Some "v")
@@ -96,17 +108,42 @@ let test_ndjson_stream () =
 let test_ndjson_escaping () =
   let buf = Buffer.create 64 in
   let t = Telemetry.create ~sink:(Telemetry.Buffer buf) () in
-  Telemetry.count t "quote\"back\\slash";
+  with_global t (fun () -> Telemetry.add_count "quote\"back\\slash");
+  Telemetry.flush t;
   let line = String.trim (Buffer.contents buf) in
   Alcotest.(check bool) "escaped quote" true
     (contains line "quote\\\"back\\\\slash")
 
+(* A counter costs the stream one running-total line per flush that
+   follows a change, however often it was bumped. *)
+let test_counts_aggregate_until_flush () =
+  let buf = Buffer.create 256 in
+  let t = Telemetry.create ~sink:(Telemetry.Buffer buf) () in
+  with_global t (fun () ->
+      for _ = 1 to 1000 do
+        Telemetry.add_count "solves"
+      done);
+  Alcotest.(check int) "no line before flush" 0 (List.length (lines_of buf));
+  Telemetry.flush t;
+  let lines = lines_of buf in
+  Alcotest.(check int) "one line after flush" 1 (List.length lines);
+  let line = List.hd lines in
+  Alcotest.(check bool) "line carries the total" true
+    (contains line "\"type\":\"count\"" && contains line "\"value\":1000");
+  Telemetry.flush t;
+  Alcotest.(check int) "an unchanged counter writes nothing" 1
+    (List.length (lines_of buf));
+  with_global t (fun () -> Telemetry.add_count ~by:5 "solves");
+  Telemetry.flush t;
+  Alcotest.(check bool) "next flush carries the running total" true
+    (contains (List.nth (lines_of buf) 1) "\"value\":1005")
+
 let test_cost_split_in_summary () =
   let t = Telemetry.create () in
-  ignore (Telemetry.span t "tuner.compile" (fun () -> ()));
-  ignore (Telemetry.span t "tuner.ncd" (fun () -> ()));
-  ignore (Telemetry.span t "tuner.binhunt" (fun () -> ()));
-  ignore (Telemetry.span t "tuner.check" (fun () -> ()));
+  with_global t (fun () ->
+      List.iter
+        (fun name -> ignore (Telemetry.with_span name (fun () -> ())))
+        [ "tuner.compile"; "tuner.ncd"; "tuner.binhunt"; "tuner.check" ]);
   let s = Telemetry.summary t in
   Alcotest.(check bool) "cost split present" true (contains s "cost split");
   Alcotest.(check bool) "functional check share present" true
@@ -119,13 +156,14 @@ let test_multidomain_counts () =
   let per_domain = 2000 and domains = 4 in
   let work () =
     for _ = 1 to per_domain do
-      Telemetry.count t "hits";
-      ignore (Telemetry.span t "tick" (fun () -> ()))
+      Telemetry.add_count "hits";
+      ignore (Telemetry.with_span "tick" (fun () -> ()))
     done
   in
-  let ds = List.init (domains - 1) (fun _ -> Domain.spawn work) in
-  work ();
-  List.iter Domain.join ds;
+  with_global t (fun () ->
+      let ds = List.init (domains - 1) (fun _ -> Domain.spawn work) in
+      work ();
+      List.iter Domain.join ds);
   Alcotest.(check int) "no lost counts" (domains * per_domain)
     (Telemetry.counter_value t "hits");
   Alcotest.(check int) "no lost spans" (domains * per_domain)
@@ -134,8 +172,8 @@ let test_multidomain_counts () =
 let test_global_default_disabled () =
   (* the tuning stack runs against the global instance; out of the box it
      must be the disabled null instance *)
-  Alcotest.(check bool) "global starts disabled" false
-    (Telemetry.enabled (Telemetry.global ()));
+  Alcotest.(check bool) "global starts disabled" true
+    (Telemetry.global () == Telemetry.null);
   ignore (Telemetry.with_span "x" (fun () -> ()));
   Telemetry.add_count "x";
   Telemetry.set_gauge "x" 1.0;
@@ -144,10 +182,7 @@ let test_global_default_disabled () =
 
 let test_set_global () =
   let t = Telemetry.create () in
-  Telemetry.set_global t;
-  Fun.protect
-    ~finally:(fun () -> Telemetry.set_global Telemetry.null)
-    (fun () ->
+  with_global t (fun () ->
       ignore (Telemetry.with_span "g" (fun () -> ()));
       Telemetry.add_count ~by:2 "gc";
       Telemetry.set_gauge "gg" 9.0;
@@ -161,6 +196,8 @@ let tests =
     Alcotest.test_case "span on exception" `Quick test_span_records_on_exception;
     Alcotest.test_case "ndjson stream" `Quick test_ndjson_stream;
     Alcotest.test_case "ndjson escaping" `Quick test_ndjson_escaping;
+    Alcotest.test_case "counts aggregate until flush" `Quick
+      test_counts_aggregate_until_flush;
     Alcotest.test_case "cost split" `Quick test_cost_split_in_summary;
     Alcotest.test_case "multi-domain counts" `Quick test_multidomain_counts;
     Alcotest.test_case "global default disabled" `Quick

@@ -27,8 +27,10 @@
 #      corpus-wide compile sweep (presets × profiles × archs × random
 #      valid flag vectors), the pedantic lint must report nothing beyond
 #      tools/lint_allowlist.txt, tools/exports.sh must find no exported
-#      value without an outside caller beyond tools/exports_allowlist.txt
-#      (and every allowlist line must still be a finding), and a
+#      value without an outside caller beyond tools/exports_allowlist.txt,
+#      tools/knobs.sh no optional parameter that no caller sets beyond
+#      tools/knobs_allowlist.txt (and every line of either allowlist must
+#      still be a finding), and a
 #      one-benchmark fig5 run with -verify (the between-pass verifier on
 #      the bench hot path) must succeed;
 #   8. binary insight gate — `inspect --all --arch all` re-disassembles
@@ -173,17 +175,23 @@ dune exec bin/bintuner_cli.exe -- verify > /dev/null \
   || { echo "ci: FAIL — IR verification sweep found a broken pass" >&2; exit 1; }
 dune exec bin/bintuner_cli.exe -- analyze --allowlist tools/lint_allowlist.txt > /dev/null \
   || { echo "ci: FAIL — lint reported findings beyond tools/lint_allowlist.txt" >&2; exit 1; }
-exports_dir=$(mktemp -d)
-tools/exports.sh > "$exports_dir/found"
-grep -v '^#' tools/exports_allowlist.txt | sed '/^[[:space:]]*$/d' | sort > "$exports_dir/allowed"
-if ! cmp -s "$exports_dir/found" "$exports_dir/allowed"; then
-  comm -23 "$exports_dir/found" "$exports_dir/allowed" | sed 's/^/  no outside caller: /' >&2
-  comm -13 "$exports_dir/found" "$exports_dir/allowed" | sed 's/^/  stale allowlist line: /' >&2
-  rm -rf "$exports_dir"
-  echo "ci: FAIL — tools/exports.sh findings differ from tools/exports_allowlist.txt" >&2
-  exit 1
-fi
-rm -rf "$exports_dir"
+# a grep audit whose findings must equal the non-comment lines of its
+# allowlist exactly: a new finding fails, and so does a stale line
+audit_gate() {  # audit script, allowlist, what a finding means
+  audit_dir=$(mktemp -d)
+  "$1" > "$audit_dir/found"
+  grep -v '^#' "$2" | sed '/^[[:space:]]*$/d' | sort > "$audit_dir/allowed"
+  if ! cmp -s "$audit_dir/found" "$audit_dir/allowed"; then
+    comm -23 "$audit_dir/found" "$audit_dir/allowed" | sed "s/^/  $3: /" >&2
+    comm -13 "$audit_dir/found" "$audit_dir/allowed" | sed 's/^/  stale allowlist line: /' >&2
+    rm -rf "$audit_dir"
+    echo "ci: FAIL — $1 findings differ from $2" >&2
+    exit 1
+  fi
+  rm -rf "$audit_dir"
+}
+audit_gate tools/exports.sh tools/exports_allowlist.txt "no outside caller"
+audit_gate tools/knobs.sh tools/knobs_allowlist.txt "no caller sets"
 # the verifier on the bench hot path: must check every pass without
 # changing any result
 dune exec bench/main.exe -- -quick -j 2 -only coreutils -verify fig5 > /dev/null \
