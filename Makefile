@@ -25,8 +25,9 @@ check:
 # two worker domains, full Table 1 driver (pretune fan-out + compile memo
 # + pass-prefix snapshot store + determinism sentinel all on the hot
 # path), then the search-strategy microbench (all five strategies through
-# the batched evaluation path, and the hill incremental-compilation
-# off/on differential, emitting an outcome-only BENCH_search.json) from
+# `Tuner.tune`, functional check included, and the hill
+# incremental-compilation off/on differential, emitting an outcome-only
+# BENCH_search.json) from
 # a scratch directory so the smoke numbers never clobber a committed
 # full-run artifact, and finally a tiny `pareto` run (the vector-fitness
 # engine end to end: ncd,gadgets tuning, Pareto fronts, BENCH_pareto.json

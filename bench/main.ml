@@ -1,13 +1,17 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation section (see DESIGN.md §3 for the experiment
-   index).  Run with no argument for everything, or name experiments:
+   index) and the extensions beyond it.  Run with no argument for
+   everything, or name experiments:
 
      dune exec bench/main.exe -- fig5 table1 fig6 fig7 fig8 table2 \
-         table3 table45 fig10 table78 fig1 speed bechamel
+         table3 table45 fig10 table78 fig1 speed ncd search pareto \
+         binsight bechamel
 
-   Absolute numbers differ from the paper (the substrate is the VX
-   toolchain, not GCC/LLVM on a Xeon); EXPERIMENTS.md records the
-   paper-vs-measured comparison for every artifact. *)
+   Every search here is a [Bintuner.Tuner.tune] job, the same one the
+   CLI and the serve daemon run.  Absolute numbers differ from the paper
+   (the substrate is the VX toolchain, not GCC/LLVM on a Xeon);
+   EXPERIMENTS.md records the paper-vs-measured comparison for every
+   artifact. *)
 
 let section = Util.Render.section
 
@@ -34,9 +38,10 @@ let bench_termination =
 let pool = ref (Parallel.Pool.create 1)
 
 (* [-only NAME]* restricts the evaluation set the sweep drivers (fig5,
-   table1, table3, tables 7/8) iterate over — the CI trace smoke runs
-   fig5 on a single benchmark this way.  Experiments that name specific
-   benchmarks (fig6, fig8, …) are unaffected. *)
+   table1, table3, tables 7/8, ncd, search, pareto, binsight) iterate
+   over — the CI trace smoke runs fig5 on a single benchmark this way.
+   Experiments that name specific benchmarks (fig6, fig8, …) are
+   unaffected. *)
 let only : string list ref = ref []
 
 (* [-quick] also shrinks the ncd microbench's measurement window *)
@@ -49,6 +54,10 @@ let eval_set () =
     List.filter (fun b -> List.mem b.Corpus.bname names) Corpus.evaluation_set
 
 let in_eval_set name = List.exists (fun b -> b.Corpus.bname = name) (eval_set ())
+
+let rec take n = function
+  | x :: tl when n > 0 -> x :: take (n - 1) tl
+  | _ -> []
 
 let tune_cache : (string * string * Isa.Insn.arch, Bintuner.Tuner.result) Hashtbl.t =
   Hashtbl.create 64
@@ -931,82 +940,29 @@ let bechamel () =
 (* Search strategies: strategy sweep (paper §3.2, §4.1, §7)             *)
 (* ------------------------------------------------------------------ *)
 
-(* Shared runner for the strategy sweep: every strategy goes through the
-   same batched evaluation path as [Tuner.tune] — compile + code-stream
-   projection fanned over the pool, compressed sizes memoized in a
-   per-run size cache — with the -Ox preset seeds and a per-run rng
-   fixed at seed 77, so strategies differ only in what they propose.
-   The budget is the only stop, so the comparison is spend-for-spend. *)
-type strategy_run = {
-  outcome : Search.outcome;
-  incr_hits : int;
-  incr_misses : int;
-}
-
-let run_strategy ?(incremental = false) ~budget profile bench strategy_name =
-  let ast = Corpus.program bench in
-  let baseline = preset_binary profile "O0" bench in
-  let baseline_stream = Bintuner.Tuner.code_stream baseline in
-  let ncd_cache = Compress.Sizecache.create () in
-  let store = if incremental then Some (Bintuner.Incremental.create ()) else None in
-  let snapshot = Option.map Bintuner.Incremental.snapshot_store store in
-  let batch_fitness vectors =
-    let streams =
-      Parallel.Pool.map !pool
-        (fun v ->
-          Bintuner.Tuner.code_stream
-            (Toolchain.Pipeline.compile_flags profile v ?snapshot ast))
-        vectors
-    in
-    Array.map
-      (fun ncd -> [| ncd |])
-      (Compress.Ncd.against ~pool:!pool ~cache:ncd_cache
-         ~baseline:baseline_stream streams)
-  in
-  let rng = Util.Rng.create 77 in
-  let problem =
-    {
-      Search.ngenes = Array.length profile.Toolchain.Flags.flags;
-      seeds =
-        List.filter_map
-          (fun n -> Toolchain.Flags.preset profile n)
-          [ "O1"; "O2"; "O3"; "Os" ];
-      repair = Toolchain.Constraints.repair profile rng;
-    }
-  in
+(* The strategy sweep: best-NCD-vs-evaluations for every registered
+   strategy on a small benchmark × profile grid, emitted
+   machine-readably to BENCH_search.json.  Every cell is a whole
+   [Tuner.tune] job (batched fitness, the -Ox preset seeds, final
+   selection and the functional check) with the budget as its only
+   stop, so the comparison is spend-for-spend and strategies differ only
+   in what they propose.  It records outcomes only; evaluation
+   throughput is measured by perfbench's tune-hill workload.  Budgets
+   follow [-quick]; [-only] narrows the benchmark set. *)
+let search_bench () =
+  print_string
+    (section "Search strategy sweep (best NCD vs evaluations per strategy)");
+  let budget = !bench_termination.Search.max_evaluations in
   let termination =
     { Search.max_evaluations = budget;
       plateau_window = budget;
       plateau_epsilon = 0.0 }
   in
-  let outcome =
-    Search.run ~batch_fitness ~rng ~termination ~problem
-      ~fitness:(fun v -> (batch_fitness [| v |]).(0))
-      (Search.of_name strategy_name)
+  let tune_cell ?incremental profile bench sname =
+    Bintuner.Tuner.tune ~pool:!pool ?incremental
+      ~strategy:(Search.of_name sname) ~termination ~profile bench
   in
-  let count f = match store with Some s -> f s | None -> 0 in
-  {
-    outcome;
-    incr_hits = count Bintuner.Incremental.hits;
-    incr_misses = count Bintuner.Incremental.misses;
-  }
-
-(* The strategy sweep: best-NCD-vs-evaluations for every registered
-   strategy on a small benchmark × profile grid, emitted
-   machine-readably to BENCH_search.json.  It records outcomes only;
-   evaluation throughput is measured by perfbench's tune-hill workload.
-   Budgets follow [-quick]; [-only] narrows the benchmark set. *)
-let search_bench () =
-  print_string
-    (section "Search strategy sweep (best NCD vs evaluations per strategy)");
-  let budget = !bench_termination.Search.max_evaluations in
-  let benches =
-    let rec take n = function
-      | x :: tl when n > 0 -> x :: take (n - 1) tl
-      | _ -> []
-    in
-    take 2 (eval_set ())
-  in
+  let benches = take 2 (eval_set ()) in
   let profiles = [ Toolchain.Flags.llvm; Toolchain.Flags.gcc ] in
   let runs =
     List.concat_map
@@ -1015,43 +971,45 @@ let search_bench () =
           (fun profile ->
             List.map
               (fun sname ->
-                let r = run_strategy ~budget profile bench sname in
-                printf "  %-18s %-9s %-10s best NCD %.3f in %d evaluations\n%!"
+                let r = tune_cell profile bench sname in
+                printf
+                  "  %-18s %-9s %-10s best NCD %.3f in %d evaluations  \
+                   functional=%b\n%!"
                   bench.Corpus.bname profile.Toolchain.Flags.profile_name sname
-                  r.outcome.Search.best_fitness r.outcome.Search.evaluations;
+                  r.Bintuner.Tuner.best_ncd r.iterations r.functional_ok;
                 (bench, profile, sname, r))
               Search.all_names)
           profiles)
       benches
   in
   (* The incremental-compilation differential: hill at the same fixed
-     budget with the pass-prefix snapshot store off, then on.  Hill's ask
-     is the full single-bit-flip neighbourhood of the current point, the
-     best case for prefix resume — and the store is lossless, so the two
-     outcomes must be identical while the store reports real hits. *)
+     budget with the pass-prefix snapshot store off, against the sweep's
+     own hill cell, which ran with it on.  Hill's ask is the full
+     single-bit-flip neighbourhood of the current point, the best case
+     for prefix resume, and the store is lossless, so the two outcomes
+     must be identical while the store reports real hits. *)
   print_string
     (section "Incremental compilation: hill outcomes, prefix store off vs on");
   let incr_cases =
-    List.concat_map
-      (fun bench ->
-        List.map
-          (fun profile ->
-            let off = run_strategy ~budget profile bench "hill" in
-            let on = run_strategy ~incremental:true ~budget profile bench "hill" in
-            let identical =
-              off.outcome.Search.best = on.outcome.Search.best
-              && off.outcome.best_fitness = on.outcome.best_fitness
-              && off.outcome.evaluations = on.outcome.evaluations
-              && off.outcome.history = on.outcome.history
-            in
-            printf "  %-18s %-9s hill  prefix hits %d/%d  identical=%b\n%!"
-              bench.Corpus.bname profile.Toolchain.Flags.profile_name
-              on.incr_hits
-              (on.incr_hits + on.incr_misses)
-              identical;
-            (bench, profile, off, on, identical))
-          profiles)
-      benches
+    List.filter_map
+      (fun (bench, profile, sname, (on : Bintuner.Tuner.result)) ->
+        if sname <> "hill" then None
+        else begin
+          let off = tune_cell ~incremental:false profile bench "hill" in
+          let identical =
+            off.best_vector = on.best_vector
+            && off.best_ncd = on.best_ncd
+            && off.iterations = on.iterations
+            && off.history = on.history
+          in
+          printf "  %-18s %-9s hill  prefix hits %d/%d  identical=%b\n%!"
+            bench.Corpus.bname profile.Toolchain.Flags.profile_name
+            (counter on "incr.hit")
+            (counter on "incr.hit" + counter on "incr.miss")
+            identical;
+          Some (bench, profile, off, on, identical)
+        end)
+      runs
   in
   let oc = open_out "BENCH_search.json" in
   let out fmt = Printf.fprintf oc fmt in
@@ -1059,28 +1017,26 @@ let search_bench () =
   out "  \"budget\": %d,\n" budget;
   out "  \"runs\": [\n";
   List.iteri
-    (fun i (bench, profile, sname, r) ->
-      let outcome = r.outcome in
+    (fun i (bench, profile, sname, (r : Bintuner.Tuner.result)) ->
       let history =
         String.concat ","
-          (List.map
-             (fun (e, f) -> Printf.sprintf "[%d,%.4f]" e f)
-             outcome.Search.history)
+          (List.map (fun (e, f) -> Printf.sprintf "[%d,%.4f]" e f) r.history)
       in
       out
         "    {\"benchmark\": %S, \"profile\": %S, \"strategy\": %S, \
-         \"best_ncd\": %.4f, \"evaluations\": %d, \"history\": [%s]}%s\n"
+         \"best_ncd\": %.4f, \"evaluations\": %d, \"history\": [%s], \
+         \"functional_ok\": %b}%s\n"
         bench.Corpus.bname profile.Toolchain.Flags.profile_name sname
-        outcome.Search.best_fitness outcome.Search.evaluations history
+        r.best_ncd r.iterations history r.functional_ok
         (if i = List.length runs - 1 then "" else ","))
     runs;
   out "  ],\n";
   out "  \"incremental\": [\n";
   List.iteri
     (fun i (bench, profile, off, on, identical) ->
-      let side (r : strategy_run) =
-        Printf.sprintf "{\"incr_hits\": %d, \"incr_misses\": %d}" r.incr_hits
-          r.incr_misses
+      let side r =
+        Printf.sprintf "{\"incr_hits\": %d, \"incr_misses\": %d}"
+          (counter r "incr.hit") (counter r "incr.miss")
       in
       out
         "    {\"benchmark\": %S, \"profile\": %S, \"strategy\": \"hill\", \
@@ -1094,77 +1050,6 @@ let search_bench () =
   close_out oc;
   printf "  wrote BENCH_search.json (%d runs, %d incremental differentials)\n"
     (List.length runs) (List.length incr_cases)
-
-(* ------------------------------------------------------------------ *)
-(* Multi-objective tuning (paper §7 future work: NCD and speed)        *)
-(* ------------------------------------------------------------------ *)
-
-let multiobj () =
-  print_string
-    (section
-       "Extension: multi-objective tuning (§7 future work — difference AND speed)");
-  let bench = Corpus.find "462.libquantum" in
-  let profile = Toolchain.Flags.gcc in
-  let ast = Corpus.program bench in
-  let baseline = preset_binary profile "O0" bench in
-  let baseline_stream = Bintuner.Tuner.code_stream baseline in
-  let input = List.hd bench.workloads in
-  let o0_steps = (Vm.Machine.run baseline ~input).Vm.Machine.steps in
-  let measure bin =
-    let ncd =
-      Compress.Ncd.distance (Bintuner.Tuner.code_stream bin) baseline_stream
-    in
-    let steps =
-      try (Vm.Machine.run ~fuel:20_000_000 bin ~input).Vm.Machine.steps
-      with Vm.Machine.Out_of_fuel | Vm.Machine.Trap _ -> o0_steps * 2
-    in
-    let speedup = 1.0 -. (float_of_int steps /. float_of_int o0_steps) in
-    (ncd, speedup)
-  in
-  let run alpha =
-    let rng = Util.Rng.create 99 in
-    let fitness vector =
-      let bin = Toolchain.Pipeline.compile_flags profile vector ast in
-      let ncd, speedup = measure bin in
-      (alpha *. ncd) +. ((1.0 -. alpha) *. speedup)
-    in
-    let outcome =
-      let problem =
-        {
-          Search.ngenes = Array.length profile.flags;
-          seeds =
-            List.filter_map
-              (fun n -> Toolchain.Flags.preset profile n)
-              [ "O2"; "O3" ];
-          repair = Toolchain.Constraints.repair profile rng;
-        }
-      in
-      Search.run ~rng
-        ~termination:
-          {
-            Search.max_evaluations = 200;
-            plateau_window = 100;
-            plateau_epsilon = 0.0035;
-          }
-        ~problem
-        ~fitness:(fun v -> [| fitness v |])
-        (Search.Genetic.strategy ())
-    in
-    let bin = Toolchain.Pipeline.compile_flags profile outcome.best ast in
-    let ncd, speedup = measure bin in
-    printf "  alpha=%.2f → NCD %.3f, speedup vs O0 %+.1f%% (%d evaluations)
-%!"
-      alpha ncd (100.0 *. speedup) outcome.evaluations
-  in
-  let o3 = preset_binary profile "O3" bench in
-  let n3, s3 = measure o3 in
-  printf "  -O3 reference → NCD %.3f, speedup vs O0 %+.1f%%
-%!" n3 (100.0 *. s3);
-  List.iter run [ 1.0; 0.5 ];
-  printf
-    "  (the paper's Table 3 point: pure-NCD tuning sacrifices some of O3's speedup;
-    \   weighting both objectives recovers it at a small difference cost)
-"
 
 (* ------------------------------------------------------------------ *)
 (* Pareto tuning: NCD vs gadget census (BENCH_pareto.json)             *)
@@ -1182,13 +1067,7 @@ let pareto_bench () =
   print_string
     (section "Pareto tuning: NCD vs gadget census (vector fitness engine)");
   let objectives = Search.Objective.parse "ncd,gadgets" in
-  let benches =
-    let rec take n = function
-      | x :: tl when n > 0 -> x :: take (n - 1) tl
-      | _ -> []
-    in
-    take 3 (eval_set ())
-  in
+  let benches = take 3 (eval_set ()) in
   let profiles = [ Toolchain.Flags.gcc; Toolchain.Flags.llvm ] in
   let cases =
     List.concat_map
@@ -1503,7 +1382,6 @@ let experiments =
     ("speed", speed);
     ("ncd", ncd_bench);
     ("search", search_bench);
-    ("multiobj", multiobj);
     ("pareto", pareto_bench);
     ("binsight", binsight);
     ("bechamel", bechamel);
@@ -1523,7 +1401,8 @@ let usage () =
      \               including the paper's §4.2 compile/NCD/BinHunt/\n\
      \               functional-check cost split\n\
      \  -only NAME   restrict the sweep experiments (fig5, table1,\n\
-     \               table3, table78) to benchmark NAME (repeatable)\n\
+     \               table3, table78, ncd, search, pareto, binsight)\n\
+     \               to benchmark NAME (repeatable)\n\
      \  -lz-level L  match-finder level for the NCD fitness kernel:\n\
      \               greedy | chained | chained-<depth>\n\
      \               (default: chained-128; greedy reproduces the\n\

@@ -203,7 +203,6 @@ module Constprop : sig
       0"; the canonical form never stores [Const 0]. *)
 
   val lookup : cval Imap.t -> int -> cval
-  val set : cval Imap.t -> int -> cval -> cval Imap.t
   val join : t -> t -> t
   val equal : t -> t -> bool
   val operand : cval Imap.t -> Vir.Ir.operand -> cval
@@ -226,7 +225,6 @@ module Interval : sig
   (** As in {!Constprop}: an absent register is exactly 0. *)
 
   val lookup : itv Imap.t -> int -> itv
-  val set : itv Imap.t -> int -> itv -> itv Imap.t
   val join : t -> t -> t
   val widen : t -> t -> t
   val equal : t -> t -> bool

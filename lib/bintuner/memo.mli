@@ -25,12 +25,9 @@
 
 type t
 
-val default_max_bytes : int
-(** Byte budget used when [create]'s [?max_bytes] is omitted (128 MiB). *)
-
 val create : ?max_bytes:int -> unit -> t
-(** A fresh, empty memo bounded to [max_bytes] of resident binary
-    payload.  With [~max_bytes:0] every request compiles (and counts as
+(** A fresh, empty memo bounded to [max_bytes] (default 128 MiB) of
+    resident binary payload.  With [~max_bytes:0] every request compiles (and counts as
     a miss) and nothing is kept — the reference the differential tests
     compare against, reached through [Session.create ~memo_max_bytes:0]. *)
 

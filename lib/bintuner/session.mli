@@ -34,7 +34,7 @@ val create :
     session creates and owns; passing an explicit [pool] instead hands
     the session a caller-owned pool that {!close} will {e not} shut down.
     [memo_max_bytes] bounds the shared compile memo
-    (default {!Memo.default_max_bytes}); [0] admits nothing, so every
+    (default 128 MiB); [0] admits nothing, so every
     compile request runs the pipeline — the memo-off reference.
     [store] attaches a persistent artifact store: compiled binaries and
     compressed sizes are then written through to disk and consulted on

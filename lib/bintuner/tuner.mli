@@ -121,8 +121,9 @@ val tune :
     on every exit, normal or exceptional, after the functional check.
     Passing both [pool] and [session] raises [Invalid_argument].
 
-    [incremental] (default on; only the on/off differential oracle turns
-    it off) shares one {!Incremental} pass-prefix
+    [incremental] (default on; turned off only as the reference side of
+    the on/off differentials, in the tests and the bench's [search]
+    sweep) shares one {!Incremental} pass-prefix
     snapshot store across every compile of the run, so candidates
     resume compilation from the longest pipeline prefix an earlier
     candidate already produced.  Lossless: results are bit-identical

@@ -289,6 +289,39 @@ let test_functional_check_j_invariant () =
   Alcotest.(check int) "vm.runs" runs1 runs2;
   Alcotest.(check int) "vm.steps" steps1 steps2
 
+(* Every registered strategy runs as a whole tuning job (batched
+   fitness, final selection, functional check) under a budget-only stop:
+   its outcome is bit-identical at -j 1 and -j 2, it spends no more than
+   the budget, and its winner passes the check. *)
+let test_every_strategy_through_tuner () =
+  let budget = 12 in
+  let termination =
+    { Search.max_evaluations = budget; plateau_window = budget;
+      plateau_epsilon = 0.0 }
+  in
+  let run j name =
+    Parallel.Pool.with_pool j (fun pool ->
+        Bintuner.Tuner.tune ~pool ~termination ~strategy:(Search.of_name name)
+          ~profile:Toolchain.Flags.gcc check_bench)
+  in
+  let outcome (r : Bintuner.Tuner.result) =
+    ( Array.to_list r.best_vector,
+      Int64.bits_of_float r.best_ncd,
+      r.iterations,
+      List.map (fun (e, f) -> (e, Int64.bits_of_float f)) r.history )
+  in
+  List.iter
+    (fun name ->
+      let r1 = run 1 name in
+      let r2 = run 2 name in
+      Alcotest.(check bool) (name ^ ": same outcome at -j 1 and -j 2") true
+        (outcome r1 = outcome r2);
+      Alcotest.(check bool) (name ^ ": within the budget") true
+        (r1.iterations <= budget);
+      Alcotest.(check bool) (name ^ ": functional") true
+        (r1.functional_ok && r2.functional_ok))
+    Search.all_names
+
 (* On random valid flag vectors, the cached verdict (first and repeat
    call) equals the direct uncached check over every workload. *)
 let prop_functional_check_matches_direct =
@@ -816,4 +849,6 @@ let tests =
     Alcotest.test_case "av data signatures" `Quick test_av_data_signatures_survive;
     Alcotest.test_case "provenance presets" `Quick test_provenance_classifies_presets;
     Alcotest.test_case "provenance features" `Quick test_provenance_feature_shape;
+    Alcotest.test_case "every strategy through the tuner" `Slow
+      test_every_strategy_through_tuner;
   ]

@@ -46,9 +46,11 @@
 #      is already pinned to the frozen greedy sentinel by step 4; a tune
 #      with a malformed --db database must fail before searching (non-zero
 #      exit, stderr naming the file, no `tuned` line);
-#  10. search microbench smoke — the `search` experiment must emit a
-#      parseable BENCH_search.json covering all five strategies, each
-#      within the declared budget, and the hill incremental-compilation
+#  10. search microbench smoke — the `search` experiment runs every
+#      strategy through `Tuner.tune`, functional check included, and must
+#      emit a parseable BENCH_search.json covering all five strategies,
+#      each within the declared budget and with a winner that passes the
+#      functional check, and the hill incremental-compilation
 #      differential must report outcomes identical with the prefix store
 #      on and real snapshot hits.  It records no wall time; throughput is
 #      perfbench's tune-hill workload (perfbench/README.md).
@@ -300,6 +302,7 @@ assert len(d["runs"]) >= 5
 assert len({r["strategy"] for r in d["runs"]}) >= 5
 for r in d["runs"]:
     assert 1 <= r["evaluations"] <= d["budget"], r
+    assert r["functional_ok"] is True, r
 assert len(d["incremental"]) >= 1
 for c in d["incremental"]:
     assert c["identical_outcome"] is True, c

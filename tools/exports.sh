@@ -14,9 +14,11 @@
 #
 # Limits.  The check is a name-based grep, not a type-aware reference
 # search:
-#   - a bare NAME in a file that opens or aliases the module counts as a
-#     use even when it is a record field, a label, a local binding, a
-#     string or a comment, so some dead values are missed;
+#   - the scans read tools/blank_sources.sh copies, so a mention in a
+#     comment or a "..." string literal is no use; a bare NAME in a file
+#     that opens or aliases the module still counts as a use even when it
+#     is a record field, a label or a local binding, so some dead values
+#     are missed;
 #   - `val`s inside `module type ... = sig` blocks are functor or
 #     first-class-module requirements, not exports, and are skipped;
 #     `val`s of nested modules are reported under the enclosing file's
@@ -34,10 +36,14 @@ cd "$(dirname "$0")/.."
 
 dirs="lib bin bench perfbench examples"
 id='[A-Z][A-Za-z0-9_]*'
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
 capitalize() {
   printf '%s' "$1" | awk '{ print toupper(substr($0, 1, 1)) substr($0, 2) }'
 }
+
+tools/blank_sources.sh "$tmp" $dirs
 
 for mli in lib/*/*.mli; do
   dir=$(dirname "$mli")
@@ -54,24 +60,24 @@ for mli in lib/*/*.mli; do
       for (i = 1; i <= d; i++) if (mt[i]) next
       n = $2; sub(/:.*/, "", n)
       if (n ~ /^[a-z_][A-Za-z0-9_]*$/) print n
-    }' "$mli" | sort -u)
+    }' "$tmp/$mli" | sort -u)
   [ -n "$names" ] || continue
 
-  files=$(grep -rlw --include='*.ml' --include='*.mli' -- "$m" $dirs \
+  files=$(cd "$tmp" && grep -rlw --include='*.ml' --include='*.mli' -- "$m" $dirs \
             | grep -vx -e "$dir/$base.ml" -e "$dir/$base.mli" || true)
   openers=""
   if [ -n "$files" ]; then
-    openers=$(grep -lE \
+    openers=$(cd "$tmp" && grep -lE \
       "(open|include)[ !]+($id\.)*$m\b|module +$id *= *($id\.)*$m\b|\b$m\.\(" \
       $files || true)
   fi
 
   for n in $names; do
     if [ -n "$files" ] \
-       && grep -qE -- "\b$m\.($id\.)*$n\b" $files; then
+       && (cd "$tmp" && grep -qE -- "\b$m\.($id\.)*$n\b" $files); then
       continue
     fi
-    if [ -n "$openers" ] && grep -qw -- "$n" $openers; then
+    if [ -n "$openers" ] && (cd "$tmp" && grep -qw -- "$n" $openers); then
       continue
     fi
     echo "$qual.$n"

@@ -23,8 +23,8 @@
 #     function, so some unset knobs are missed;
 #   - a wrapper that forwards the label (`let f ?x = M.g ?x`) sets it,
 #     whether or not anything sets the wrapper's own `?x`;
-#   - comments and "..." string literals are blanked before both scans;
-#     quoted strings ({|...|}) are not;
+#   - both scans read tools/blank_sources.sh copies: comments and "..."
+#     string literals are blanked, quoted strings ({|...|}) are not;
 #   - `val`s inside `module type ... = sig` blocks are functor or
 #     first-class-module requirements, not exports, and are skipped;
 #     `val`s of nested modules are reported under the enclosing file's
@@ -45,35 +45,7 @@ capitalize() {
   printf '%s' "$1" | awk '{ print toupper(substr($0, 1, 1)) substr($0, 2) }'
 }
 
-# Copy every source file to $tmp with comments blanked and string
-# literals emptied, keeping the line structure.
-srcs=$(find $dirs -name '*.ml' -o -name '*.mli' | sort)
-for f in $srcs; do mkdir -p "$tmp/$(dirname "$f")"; done
-awk -v out="$tmp" '
-  FNR == 1 { depth = 0; instr = 0 }
-  {
-    s = $0; n = length(s); o = ""
-    for (i = 1; i <= n; i++) {
-      c = substr(s, i, 1); c2 = substr(s, i, 2)
-      if (instr) {
-        if (c == "\\") i++
-        else if (c == "\"") { instr = 0; if (depth == 0) o = o "\"" }
-        continue
-      }
-      if (c2 == "(*") { depth++; i++; o = o "  "; continue }
-      if (depth > 0 && c2 == "*)") { depth--; i++; o = o "  "; continue }
-      if (c == "\"") { instr = 1; if (depth == 0) o = o "\""; continue }
-      if (c == "'\''" && substr(s, i + 2, 1) == "'\''") {
-        if (depth == 0) o = o "'\'' '\''"; i += 2; continue
-      }
-      if (c == "'\''" && substr(s, i + 1, 1) == "\\") {
-        j = index(substr(s, i + 2), "'\''")
-        if (j > 0) { if (depth == 0) o = o "'\'' '\''"; i += j + 1; continue }
-      }
-      o = o (depth > 0 ? " " : c)
-    }
-    print o > (out "/" FILENAME)
-  }' $srcs
+tools/blank_sources.sh "$tmp" $dirs
 
 for mli in lib/*/*.mli; do
   dir=$(dirname "$mli")
