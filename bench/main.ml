@@ -869,12 +869,19 @@ let speed () =
     done;
     (Sys.time () -. t0) /. float_of_int !iters
   in
+  (* the paper's formula over the raw code bytes, and the fitness the
+     search scores: NCD over both binaries' opcode-class streams, each
+     a linear sweep of the text *)
+  let t_raw = time (fun () -> ignore (Bintuner.Tuner.ncd_of_binaries o3 o0)) in
   let t_ncd =
-    time (fun () -> ignore (Bintuner.Tuner.ncd_of_binaries o3 o0))
+    time (fun () -> ignore (Bintuner.Tuner.fitness_of_binaries o3 o0))
   in
   let t_binhunt = time (fun () -> ignore (Diffing.Binhunt.diff_score o3 o0)) in
-  printf "NCD:     %.2f ms per comparison\n" (t_ncd *. 1000.0);
-  printf "BinHunt: %.2f ms per comparison (%.1fx slower)\n"
+  printf "NCD, raw text bytes:        %.2f ms per comparison\n"
+    (t_raw *. 1000.0);
+  printf "NCD fitness (code streams): %.2f ms per comparison\n"
+    (t_ncd *. 1000.0);
+  printf "BinHunt: %.2f ms per comparison (%.1fx the fitness)\n"
     (t_binhunt *. 1000.0) (t_binhunt /. t_ncd)
 
 let bechamel () =
@@ -899,7 +906,7 @@ let bechamel () =
         Test.make ~name:"compile+ncd-fitness"
           (Staged.stage (fun () ->
                let bin = Toolchain.Pipeline.compile_flags gcc o2v ast in
-               ignore (Bintuner.Tuner.ncd_of_binaries bin o0)));
+               ignore (Bintuner.Tuner.fitness_of_binaries bin o0)));
         (* fig8 kernel: one tool similarity matrix row *)
         Test.make ~name:"precision-asm2vec"
           (Staged.stage (fun () ->
@@ -909,7 +916,8 @@ let bechamel () =
           (Staged.stage (fun () -> ignore (Av.Scanner.detections fleet o3)));
         (* fig1(a) kernel *)
         Test.make ~name:"provenance-features"
-          (Staged.stage (fun () -> ignore (Provenance.Classify.features o3)));
+          (Staged.stage (fun () ->
+               ignore (Binsight.Features.provenance_vector o3)));
         (* table3 kernel *)
         Test.make ~name:"vm-run-workload"
           (Staged.stage (fun () ->
@@ -958,27 +966,18 @@ let search_bench () =
       plateau_window = budget;
       plateau_epsilon = 0.0 }
   in
-  let tune_cell ?incremental profile bench sname =
-    Bintuner.Tuner.tune ~pool:!pool ?incremental
+  let tune_cell ~incremental profile bench sname =
+    Bintuner.Tuner.tune ~pool:!pool ~incremental
       ~strategy:(Search.of_name sname) ~termination ~profile bench
   in
   let benches = take 2 (eval_set ()) in
   let profiles = [ Toolchain.Flags.llvm; Toolchain.Flags.gcc ] in
-  let runs =
+  let cells =
     List.concat_map
       (fun bench ->
         List.concat_map
           (fun profile ->
-            List.map
-              (fun sname ->
-                let r = tune_cell profile bench sname in
-                printf
-                  "  %-18s %-9s %-10s best NCD %.3f in %d evaluations  \
-                   functional=%b\n%!"
-                  bench.Corpus.bname profile.Toolchain.Flags.profile_name sname
-                  r.Bintuner.Tuner.best_ncd r.iterations r.functional_ok;
-                (bench, profile, sname, r))
-              Search.all_names)
+            List.map (fun sname -> (bench, profile, sname)) Search.all_names)
           profiles)
       benches
   in
@@ -988,28 +987,53 @@ let search_bench () =
      single-bit-flip neighbourhood of the current point, the best case
      for prefix resume, and the store is lossless, so the two outcomes
      must be identical while the store reports real hits. *)
+  let off_cells = List.filter (fun (_, _, sname) -> sname = "hill") cells in
+  (* every cell is an independent deterministic job, so they fan out
+     across the pool as [pretune]'s do and report in list order *)
+  let jobs =
+    List.map (fun c -> (true, c)) cells
+    @ List.map (fun c -> (false, c)) off_cells
+  in
+  let results =
+    Parallel.Pool.map_list ~chunk_size:1 !pool
+      (fun (incremental, (bench, profile, sname)) ->
+        tune_cell ~incremental profile bench sname)
+      jobs
+  in
+  let ons, offs =
+    List.partition fst (List.combine (List.map fst jobs) results)
+  in
+  let runs =
+    List.map2
+      (fun (bench, profile, sname) (_, (r : Bintuner.Tuner.result)) ->
+        printf
+          "  %-18s %-9s %-10s best NCD %.3f in %d evaluations  \
+           functional=%b\n%!"
+          bench.Corpus.bname profile.Toolchain.Flags.profile_name sname
+          r.best_ncd r.iterations r.functional_ok;
+        (bench, profile, sname, r))
+      cells ons
+  in
   print_string
     (section "Incremental compilation: hill outcomes, prefix store off vs on");
   let incr_cases =
-    List.filter_map
-      (fun (bench, profile, sname, (on : Bintuner.Tuner.result)) ->
-        if sname <> "hill" then None
-        else begin
-          let off = tune_cell ~incremental:false profile bench "hill" in
-          let identical =
-            off.best_vector = on.best_vector
-            && off.best_ncd = on.best_ncd
-            && off.iterations = on.iterations
-            && off.history = on.history
-          in
-          printf "  %-18s %-9s hill  prefix hits %d/%d  identical=%b\n%!"
-            bench.Corpus.bname profile.Toolchain.Flags.profile_name
-            (counter on "incr.hit")
-            (counter on "incr.hit" + counter on "incr.miss")
-            identical;
-          Some (bench, profile, off, on, identical)
-        end)
-      runs
+    List.map2
+      (fun (bench, profile, _, (on : Bintuner.Tuner.result))
+           (_, (off : Bintuner.Tuner.result)) ->
+        let identical =
+          off.best_vector = on.best_vector
+          && off.best_ncd = on.best_ncd
+          && off.iterations = on.iterations
+          && off.history = on.history
+        in
+        printf "  %-18s %-9s hill  prefix hits %d/%d  identical=%b\n%!"
+          bench.Corpus.bname profile.Toolchain.Flags.profile_name
+          (counter on "incr.hit")
+          (counter on "incr.hit" + counter on "incr.miss")
+          identical;
+        (bench, profile, off, on, identical))
+      (List.filter (fun (_, _, sname, _) -> sname = "hill") runs)
+      offs
   in
   let oc = open_out "BENCH_search.json" in
   let out fmt = Printf.fprintf oc fmt in

@@ -9,21 +9,11 @@ let structure_scanners = fleet_size - code_scanners - data_scanners
 let () = assert (structure_scanners > 0)
 
 type signature =
-  | Code_seq of int list  (** opcode-kind sequence *)
+  | Code_seq of string  (** opcode-class sequence *)
   | Data_gram of string  (** raw data bytes *)
   | Call_shape of int  (** hashed call-graph fingerprint *)
 
 type fleet = { sigs : signature list array }
-
-let contains_seq hay needle =
-  let n = Array.length hay and m = List.length needle in
-  if m = 0 || m > n then false
-  else begin
-    let needle = Array.of_list needle in
-    let rec at i j = j >= m || (hay.(i + j) = needle.(j) && at i (j + 1)) in
-    let rec scan i = i + m <= n && (at i 0 || scan (i + 1)) in
-    scan 0
-  end
 
 let contains_str hay needle =
   let n = String.length hay and m = String.length needle in
@@ -34,12 +24,6 @@ let contains_str hay needle =
     scan 0
   end
 
-(* The opcode-kind stream of a binary: one small int per instruction. *)
-let kind_stream (bin : Isa.Binary.t) =
-  List.map
-    (fun (_, i) -> Diffing.Bcode.opcode_class i)
-    (Isa.Codec.decode_all bin.arch bin.text)
-
 let call_fingerprints (bin : Isa.Binary.t) =
   let c = Diffing.Bcode.analyze bin in
   Array.to_list c.funcs
@@ -48,13 +32,11 @@ let call_fingerprints (bin : Isa.Binary.t) =
 
 let train ?(goodware = []) ~seed (bin : Isa.Binary.t) =
   let rng = Util.Rng.create seed in
-  let kinds = Array.of_list (kind_stream bin) in
-  let nkinds = Array.length kinds in
+  let kinds = Diffing.Bcode.code_stream bin in
+  let nkinds = String.length kinds in
   let data = bin.data in
   let shapes = call_fingerprints bin in
-  let good_kinds =
-    List.map (fun g -> Array.of_list (kind_stream g)) goodware
-  in
+  let good_kinds = List.map Diffing.Bcode.code_stream goodware in
   let good_data = List.map (fun g -> g.Isa.Binary.data) goodware in
   let good_shapes = List.concat_map call_fingerprints goodware in
   let sigs =
@@ -69,11 +51,9 @@ let train ?(goodware = []) ~seed (bin : Isa.Binary.t) =
               let rec draw tries =
                 let len = 24 + Util.Rng.int srng 25 in
                 let start = Util.Rng.int srng (max 1 (nkinds - len)) in
-                let seq =
-                  Array.to_list (Array.sub kinds start (min len (nkinds - start)))
-                in
+                let seq = String.sub kinds start (min len (nkinds - start)) in
                 let generic =
-                  List.exists (fun gk -> contains_seq gk seq) good_kinds
+                  List.exists (fun gk -> contains_str gk seq) good_kinds
                 in
                 if generic && tries < 20 then draw (tries + 1) else Code_seq seq
               in
@@ -110,7 +90,7 @@ let train ?(goodware = []) ~seed (bin : Isa.Binary.t) =
   { sigs }
 
 let detections_by_class fleet (bin : Isa.Binary.t) =
-  let kinds = Array.of_list (kind_stream bin) in
+  let kinds = Diffing.Bcode.code_stream bin in
   let shapes = call_fingerprints bin in
   let code = ref 0 and data = ref 0 and structure = ref 0 in
   Array.iteri
@@ -119,7 +99,7 @@ let detections_by_class fleet (bin : Isa.Binary.t) =
         List.exists
           (fun s ->
             match s with
-            | Code_seq seq -> contains_seq kinds seq
+            | Code_seq seq -> contains_str kinds seq
             | Data_gram g -> contains_str bin.data g
             | Call_shape h -> List.mem h shapes)
           sigs

@@ -54,10 +54,6 @@ type t = {
   mismatches : mismatch list;
 }
 
-let is_control = function
-  | Ijmp _ | Ijcc _ | Iloop _ | Ijtab _ | Iret | Ijmpf _ -> true
-  | _ -> false
-
 let recover_function (bin : Isa.Binary.t) ~ground_truth
     (bf : Isa.Binary.bfunc) : func_disasm =
   let name = bf.f_name in
@@ -141,60 +137,13 @@ let recover_function (bin : Isa.Binary.t) ~ground_truth
       0 bf.f_insns
   in
   (* --- block recovery over the reachable instructions --- *)
-  let leaders = Hashtbl.create 16 in
-  Hashtbl.replace leaders addr ();
-  List.iter
-    (fun ia ->
-      if is_control ia.i_insn then begin
-        let targets, _ = Isa.Binary.flow ia.i_insn ~next:ia.i_next in
-        List.iter
-          (fun t ->
-            if t >= addr && t < stop then Hashtbl.replace leaders t ())
-          targets;
-        if ia.i_next < stop && Hashtbl.mem visited ia.i_next then
-          Hashtbl.replace leaders ia.i_next ()
-      end)
-    insns;
-  let blocks = ref [] in
-  let close rb_addr cur rb_succs =
-    if cur <> [] then
-      blocks :=
-        { rb_addr; rb_insns = List.rev cur; rb_succs = List.sort_uniq compare rb_succs }
-        :: !blocks
-  in
-  let rec walk l cur cur_addr =
-    match l with
-    | [] -> close cur_addr cur []
-    | ia :: rest when cur = [] ->
-      (* a fresh block starts wherever the next reachable instruction
-         lies — the nominal fallthrough may itself be unreachable *)
-      if is_control ia.i_insn then begin
-        let targets, _ = Isa.Binary.flow ia.i_insn ~next:ia.i_next in
-        let succs = List.filter (fun t -> t >= addr && t < stop) targets in
-        close ia.i_addr [ ia ] succs;
-        walk rest [] ia.i_next
-      end
-      else walk rest [ ia ] ia.i_addr
-    | ia :: rest ->
-      if ia.i_addr <> cur_addr && Hashtbl.mem leaders ia.i_addr && cur <> []
-      then begin
-        (* reachable fallthrough into a leader *)
-        let prev = List.hd cur in
-        let succs = if prev.i_next = ia.i_addr then [ ia.i_addr ] else [] in
-        close cur_addr cur succs;
-        walk l [] ia.i_addr
-      end
-      else if is_control ia.i_insn then begin
-        let targets, _ = Isa.Binary.flow ia.i_insn ~next:ia.i_next in
-        let succs = List.filter (fun t -> t >= addr && t < stop) targets in
-        close cur_addr (ia :: cur) succs;
-        walk rest [] ia.i_next
-      end
-      else walk rest (ia :: cur) cur_addr
-  in
-  (match insns with [] -> () | ia :: _ -> walk insns [] ia.i_addr);
+  let at { i_addr; i_insn; i_next } = (i_addr, i_insn, i_next) in
+  let insn_at (i_addr, i_insn, i_next) = { i_addr; i_insn; i_next } in
   let d_blocks =
-    List.sort (fun a b -> compare a.rb_addr b.rb_addr) !blocks
+    List.map
+      (fun (rb_addr, items, rb_succs) ->
+        { rb_addr; rb_insns = List.map insn_at items; rb_succs })
+      (Isa.Binary.split_blocks ~lo:addr ~stop (List.map at insns))
   in
   {
     d_name = name;

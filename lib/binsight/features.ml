@@ -37,35 +37,42 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Provenance vector (formerly Provenance.Classify.features)           *)
+(* Provenance vector                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let n_provenance = Diffing.Bcode.n_opcode_classes + 8
 
-let provenance_vector (bin : Isa.Binary.t) =
-  let v = Array.make n_provenance 0.0 in
-  let insns = Isa.Codec.decode_all bin.arch bin.text in
-  let n = max 1 (List.length insns) in
-  List.iter
-    (fun (_, i) ->
-      let k = Diffing.Bcode.opcode_class i in
-      v.(k) <- v.(k) +. 1.0;
-      let extra = Diffing.Bcode.n_opcode_classes in
+(* One sweep of the whole text: the count behind each slot of the
+   provenance vector (the opcode classes, then the witnesses), and the
+   instruction count. *)
+let provenance_counts (bin : Isa.Binary.t) =
+  let v = Array.make n_provenance 0 in
+  let n = ref 0 in
+  let bump k = v.(k) <- v.(k) + 1 in
+  let extra = Diffing.Bcode.n_opcode_classes in
+  Isa.Codec.sweep bin.arch bin.text ~pos:0 ~stop:(String.length bin.text)
+    (fun _ i _ ->
+      incr n;
+      bump (Diffing.Bcode.opcode_class i);
       match i with
-      | Inop -> v.(extra) <- v.(extra) +. 1.0 (* alignment pads *)
-      | Ijtab _ -> v.(extra + 1) <- v.(extra + 1) +. 1.0
-      | Iloop _ -> v.(extra + 2) <- v.(extra + 2) +. 1.0
-      | Icmov _ | Isetcc _ -> v.(extra + 3) <- v.(extra + 3) +. 1.0
-      | Ivalu _ | Ivld _ | Ivst _ -> v.(extra + 4) <- v.(extra + 4) +. 1.0
+      | Inop -> bump extra (* alignment pads *)
+      | Ijtab _ -> bump (extra + 1)
+      | Iloop _ -> bump (extra + 2)
+      | Icmov _ | Isetcc _ -> bump (extra + 3)
+      | Ivalu _ | Ivld _ | Ivst _ -> bump (extra + 4)
       | Ipush (Oreg r) when r = fp ->
-        v.(extra + 5) <- v.(extra + 5) +. 1.0 (* frame-pointer prologues *)
-      | Icallr _ -> v.(extra + 6) <- v.(extra + 6) +. 1.0
-      | Iinc _ | Idec _ | Ixorz _ ->
-        v.(extra + 7) <- v.(extra + 7) +. 1.0 (* peephole idioms *)
-      | _ -> ())
-    insns;
-  (* normalize by instruction count *)
-  Array.map (fun x -> x /. float_of_int n) v
+        bump (extra + 5) (* frame-pointer prologues *)
+      | Icallr _ -> bump (extra + 6)
+      | Iinc _ | Idec _ | Ixorz _ -> bump (extra + 7) (* peephole idioms *)
+      | _ -> ());
+  (v, !n)
+
+(* normalized by instruction count *)
+let provenance_of (v, n) =
+  let n = float_of_int (max 1 n) in
+  Array.map (fun x -> float_of_int x /. n) v
+
+let provenance_vector bin = provenance_of (provenance_counts bin)
 
 (* ------------------------------------------------------------------ *)
 (* Static stack-depth bounds                                           *)
@@ -272,13 +279,7 @@ let extract (bin : Isa.Binary.t) (d : Disasm.t) : t =
     ~attrs:[ ("arch", arch_name bin.arch) ]
     "binsight.features"
     (fun () ->
-      let insns = Isa.Codec.decode_all bin.arch bin.text in
-      let histogram = Array.make Diffing.Bcode.n_opcode_classes 0 in
-      List.iter
-        (fun (_, i) ->
-          let k = Diffing.Bcode.opcode_class i in
-          histogram.(k) <- histogram.(k) + 1)
-        insns;
+      let counts, insn_count = provenance_counts bin in
       let reachable = reachable_set bin d in
       let dead = ref [] in
       let dead_bytes = ref 0 in
@@ -305,10 +306,10 @@ let extract (bin : Isa.Binary.t) (d : Disasm.t) : t =
           d.funcs
       in
       {
-        histogram;
-        insn_count = List.length insns;
+        histogram = Array.sub counts 0 Diffing.Bcode.n_opcode_classes;
+        insn_count;
         dead_functions = List.rev !dead;
         dead_bytes = !dead_bytes;
         per_function;
-        provenance = provenance_vector bin;
+        provenance = provenance_of (counts, insn_count);
       })

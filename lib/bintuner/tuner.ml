@@ -38,13 +38,7 @@ let counter r name =
 let ncd_of_binaries a b =
   Compress.Ncd.distance a.Isa.Binary.text b.Isa.Binary.text
 
-let code_stream (bin : Isa.Binary.t) =
-  let insns = Isa.Codec.decode_all bin.arch bin.text in
-  let b = Buffer.create (List.length insns) in
-  List.iter
-    (fun (_, i) -> Buffer.add_char b (Char.chr (Diffing.Bcode.opcode_class i)))
-    insns;
-  Buffer.contents b
+let code_stream = Diffing.Bcode.code_stream
 
 let fitness_of_binaries a b =
   Compress.Ncd.distance (code_stream a) (code_stream b)

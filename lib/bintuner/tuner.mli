@@ -81,11 +81,12 @@ val ncd_of_binaries : Isa.Binary.t -> Isa.Binary.t -> float
 
 val code_stream : Isa.Binary.t -> string
 (** The canonical projection the fitness compresses: one byte per
-    instruction of the code section (its opcode class).  The paper
-    applies LZMA to the code section's raw bytes; the VX encoding carries
-    far less incidental byte-level redundancy than x86 machine code, so
-    compressing the raw bytes saturates NCD near 1.0 for every optimized
-    build.  The opcode-class projection restores LZMA-grade structural
+    instruction of the code section (its opcode class).  It is
+    {!Diffing.Bcode.code_stream}, which the AV code scanners read too.
+    The paper applies LZMA to the code section's raw bytes; the VX
+    encoding carries far less incidental byte-level redundancy than x86
+    machine code, so compressing the raw bytes saturates NCD near 1.0 for
+    every optimized build.  The opcode-class projection restores LZMA-grade structural
     signal while keeping the NCD-over-code-section mechanism intact
     (substitution documented in DESIGN.md). *)
 

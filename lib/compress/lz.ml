@@ -598,13 +598,9 @@ let compress_segments level s1 s2 =
   Buffer.add_string out coded;
   Buffer.contents out
 
-let compress ?level s =
-  let level = match level with Some l -> l | None -> !default_level_ref in
-  compress_segments level s ""
+let compress s = compress_segments !default_level_ref s ""
 
-let compress_pair ?level x y =
-  let level = match level with Some l -> l | None -> !default_level_ref in
-  compress_segments level x y
+let compress_pair x y = compress_segments !default_level_ref x y
 
 let decompress packed =
   if String.length packed < header_size then
@@ -633,6 +629,8 @@ let decompress packed =
   done;
   Buffer.contents out
 
-let compressed_size ?level s = String.length (compress ?level s)
+let compressed_size ?(level = !default_level_ref) s =
+  String.length (compress_segments level s "")
 
-let compressed_size_pair ?level x y = String.length (compress_pair ?level x y)
+let compressed_size_pair ?(level = !default_level_ref) x y =
+  String.length (compress_segments level x y)

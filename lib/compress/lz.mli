@@ -29,8 +29,9 @@ val default_chain_depth : int
 (** Chain depth of the default level (128). *)
 
 val default_level : unit -> level
-(** The level used when an entry point's [?level] is omitted.  Starts as
-    [Chained default_chain_depth]. *)
+(** The level {!compress}, {!compress_pair} and [Ncd.distance] run at, and
+    the one the size functions use when their [?level] is omitted.  Starts
+    as [Chained default_chain_depth]. *)
 
 val set_default_level : level -> unit
 (** Install a process-wide default level.  Call at startup (before worker
@@ -43,13 +44,14 @@ val level_of_string : string -> level
 (** Inverse of {!level_name}; also accepts ["chained"] (default depth)
     and ["chained:<depth>"].  Raises [Invalid_argument] otherwise. *)
 
-val compress : ?level:level -> string -> string
-(** [compress s] returns the compressed representation of [s]. *)
+val compress : string -> string
+(** [compress s] returns the compressed representation of [s], at
+    {!default_level}. *)
 
-val compress_pair : ?level:level -> string -> string -> string
-(** [compress_pair x y] is byte-identical to [compress (x ^ y)] at the
-    same level, but never materializes the concatenation — the NCD
-    C(x·y) term reads both strings through a two-segment view. *)
+val compress_pair : string -> string -> string
+(** [compress_pair x y] is byte-identical to [compress (x ^ y)], but
+    never materializes the concatenation — the NCD C(x·y) term reads both
+    strings through a two-segment view. *)
 
 val decompress : string -> string
 (** Inverse of {!compress} (and {!compress_pair}), whatever level
@@ -59,8 +61,9 @@ val decompress : string -> string
     estimator). *)
 
 val compressed_size : ?level:level -> string -> int
-(** [compressed_size s = String.length (compress s)].  This is the [C(x)]
-    of the NCD formula. *)
+(** [compressed_size s = String.length (compress s)] at [level] (default
+    {!default_level}).  This is the [C(x)] of the NCD formula; a size cache
+    pins the level it was created at through [level]. *)
 
 val compressed_size_pair : ?level:level -> string -> string -> int
 (** [compressed_size_pair x y = String.length (compress (x ^ y))] without

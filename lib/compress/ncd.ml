@@ -2,11 +2,9 @@ let combine cx cy cxy =
   let mn = min cx cy and mx = max cx cy in
   if mx = 0 then 0.0 else float_of_int (cxy - mn) /. float_of_int mx
 
-let distance ?level x y =
-  combine
-    (Lz.compressed_size ?level x)
-    (Lz.compressed_size ?level y)
-    (Lz.compressed_size_pair ?level x y)
+let distance x y =
+  combine (Lz.compressed_size x) (Lz.compressed_size y)
+    (Lz.compressed_size_pair x y)
 
 let distance_via cache x y =
   combine (Sizecache.size cache x) (Sizecache.size cache y)

@@ -13,9 +13,9 @@
     ({!against}, {!matrix}) shares a {!Sizecache} so repeated terms are
     compressed once per content, and fans out over a [Parallel.Pool]. *)
 
-val distance : ?level:Lz.level -> string -> string -> float
-(** [distance x y] — NCD of two byte strings at [level] (default:
-    [Lz.default_level ()]).  Symmetric up to compressor imperfection;
+val distance : string -> string -> float
+(** [distance x y] — NCD of two byte strings at [Lz.default_level ()].
+    Symmetric up to compressor imperfection;
     0.0 when both are empty. *)
 
 val distance_via : Sizecache.t -> string -> string -> float

@@ -170,3 +170,9 @@ let opcode_class i =
     13
   | Iprint _ | Iprintc _ | Iread _ | Ilen _ -> 14
   | Inop -> 15
+
+let code_stream (bin : Isa.Binary.t) =
+  let b = Buffer.create (String.length bin.text / 4 + 1) in
+  Isa.Codec.sweep bin.arch bin.text ~pos:0 ~stop:(String.length bin.text)
+    (fun _ i _ -> Buffer.add_char b (Char.chr (opcode_class i)));
+  Buffer.contents b

@@ -46,3 +46,9 @@ val opcode_class : Isa.Insn.insn -> int
     tools. *)
 
 val n_opcode_classes : int
+
+val code_stream : Isa.Binary.t -> string
+(** The opcode-class stream of the code section: one byte, the
+    {!opcode_class}, per instruction of one linear sweep of the whole
+    text.  The NCD fitness compresses it ([Bintuner.Tuner.code_stream]),
+    and the AV code scanners match substrings of it. *)

@@ -62,101 +62,82 @@ let flow insn ~next =
   | Inop | Iinc _ | Idec _ | Ixorz _ ->
     ([ next ], true)
 
+let ends_block = function
+  | Ijmp _ | Ijcc _ | Iloop _ | Ijtab _ | Iret | Ijmpf _ -> true
+  | _ -> false
+
+let split_blocks ~lo ~stop items =
+  (* leaders: branch targets and the instructions after block-ending
+     transfers.  The walk also starts a block at the first instruction,
+     and after each block-ending transfer at whichever instruction comes
+     next, across a gap if need be. *)
+  let leaders = Hashtbl.create 16 in
+  List.iter
+    (fun (_, i, next) ->
+      if ends_block i then begin
+        List.iter
+          (fun tgt -> Hashtbl.replace leaders tgt ())
+          (fst (flow i ~next));
+        Hashtbl.replace leaders next ()
+      end)
+    items;
+  let blocks = ref [] in
+  let close cur succs =
+    let items = List.rev cur in
+    let leader, _, _ = List.hd items in
+    blocks := (leader, items, List.sort_uniq compare succs) :: !blocks
+  in
+  let rec walk l cur =
+    match (l, cur) with
+    | [], [] -> ()
+    | [], _ -> close cur []
+    | (a, _, _) :: _, (_, _, prev_next) :: _ when Hashtbl.mem leaders a ->
+      (* a fallthrough edge only into the contiguous next instruction *)
+      close cur (if prev_next = a then [ a ] else []);
+      walk l []
+    | ((_, i, next) as item) :: rest, _ ->
+      if ends_block i then begin
+        let targets = fst (flow i ~next) in
+        close (item :: cur)
+          (List.filter (fun tgt -> tgt >= lo && tgt < stop) targets);
+        walk rest []
+      end
+      else walk rest (item :: cur)
+  in
+  walk items [];
+  List.rev !blocks
+
 let analyze_function t fid =
   let name, addr, len = t.functions.(fid) in
   let stop = addr + len in
-  (* linear sweep *)
-  let insns = ref [] in
-  let pos = ref addr in
-  while !pos < stop do
-    let i, next = Codec.decode t.arch t.text ~pos:!pos in
-    insns := (!pos, i) :: !insns;
-    pos := next
-  done;
-  let insns = List.rev !insns in
-  (* leaders: entry, targets of control transfers, fallthroughs after
-     non-sequential instructions *)
-  let leaders = Hashtbl.create 16 in
-  Hashtbl.replace leaders addr ();
-  let next_of =
-    (* map from insn addr to next insn addr *)
-    let tbl = Hashtbl.create 64 in
-    let rec fill = function
-      | (a, _) :: ((b, _) :: _ as rest) ->
-        Hashtbl.replace tbl a b;
-        fill rest
-      | [ (a, _) ] -> Hashtbl.replace tbl a stop
-      | [] -> ()
-    in
-    fill insns;
-    tbl
-  in
-  List.iter
-    (fun (a, i) ->
-      let next = try Hashtbl.find next_of a with Not_found -> stop in
-      let targets, falls = flow i ~next in
-      match i with
-      | Ijmp _ | Ijcc _ | Iloop _ | Ijtab _ | Iret | Ijmpf _ ->
-        List.iter
-          (fun tgt -> if tgt >= addr && tgt < stop then Hashtbl.replace leaders tgt ())
-          targets;
-        if next < stop then Hashtbl.replace leaders next ()
-      | _ -> ignore falls)
-    insns;
-  (* split into blocks *)
-  let blocks = ref [] in
-  let rec walk insns cur cur_addr =
-    match insns with
-    | [] ->
-      if cur <> [] then
-        blocks :=
-          { b_addr = cur_addr; b_insns = List.rev cur; b_succs = [] }
-          :: !blocks
-    | (a, i) :: rest ->
-      let is_leader = a <> cur_addr && Hashtbl.mem leaders a in
-      if is_leader && cur <> [] then begin
-        (* close the current block: falls through to a *)
-        blocks :=
-          { b_addr = cur_addr; b_insns = List.rev cur; b_succs = [ a ] }
-          :: !blocks;
-        walk ((a, i) :: rest) [] a
-      end
-      else begin
-        let next = try Hashtbl.find next_of a with Not_found -> stop in
-        let targets, _ = flow i ~next in
-        let ends_block =
-          match i with
-          | Ijmp _ | Ijcc _ | Iloop _ | Ijtab _ | Iret | Ijmpf _ -> true
-          | _ -> false
-        in
-        if ends_block then begin
-          let succs =
-            List.sort_uniq compare
-              (List.filter (fun tg -> tg >= addr && tg < stop) targets)
-          in
-          blocks :=
-            { b_addr = cur_addr; b_insns = List.rev ((a, i) :: cur); b_succs = succs }
-            :: !blocks;
-          walk rest [] next
-        end
-        else walk rest ((a, i) :: cur) cur_addr
-      end
-  in
-  walk insns [] addr;
+  let swept = ref [] in
+  Codec.sweep t.arch t.text ~pos:addr ~stop (fun a i next ->
+      swept := (a, i, next) :: !swept);
+  let swept = List.rev !swept in
+  let pair (a, i, _) = (a, i) in
   let f_blocks =
-    List.sort (fun a b -> compare a.b_addr b.b_addr) !blocks
-    |> List.filter (fun b -> b.b_insns <> [])
+    List.map
+      (fun (b_addr, items, b_succs) ->
+        { b_addr; b_insns = List.map pair items; b_succs })
+      (split_blocks ~lo:addr ~stop swept)
   in
   let f_calls =
     List.filter_map
-      (fun (_, i) ->
+      (fun (_, i, _) ->
         match i with
         | Icall fid | Ila (_, fid) | Ijmpf fid -> Some fid
         | _ -> None)
-      insns
+      swept
     |> List.sort_uniq compare
   in
-  { f_name = name; f_id = fid; f_addr = addr; f_insns = insns; f_blocks; f_calls }
+  {
+    f_name = name;
+    f_id = fid;
+    f_addr = addr;
+    f_insns = List.map pair swept;
+    f_blocks;
+    f_calls;
+  }
 
 let analyze t =
   Telemetry.with_span

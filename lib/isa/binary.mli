@@ -3,8 +3,8 @@
 
     A binary carries its raw text/data bytes plus a symbol table.  The
     per-function instruction lists and CFGs exposed to the diffing tools
-    are *reconstructed from the bytes* by {!analyze} (linear-sweep
-    disassembly + leader analysis), the way IDA-based tools consume
+    are *reconstructed from the bytes* by {!analyze} (a {!Codec.sweep}
+    per function + {!split_blocks}), the way IDA-based tools consume
     stripped binaries with known function boundaries.  Function names are
     retained solely as ground truth for Precision@1 scoring — no diffing
     tool may match on them. *)
@@ -45,6 +45,25 @@ val flow : Insn.insn -> next:int -> int list * bool
 (** Control transfers out of an instruction located just before [next],
     as [(branch targets, falls_through)].  Calls fall through (the
     callee returns); [Iret]/[Ijmpf] end the flow. *)
+
+val split_blocks :
+  lo:int ->
+  stop:int ->
+  (int * Insn.insn * int) list ->
+  (int * (int * Insn.insn * int) list * int list) list
+(** [split_blocks ~lo ~stop items] splits the instructions
+    [(offset, insn, next)] of the function whose bytes run from [lo] up
+    to [stop], ascending by offset and possibly with gaps, into basic
+    blocks [(leader, items, successor leaders ascending)], ascending by
+    leader.  Branch targets and the instructions after block-ending
+    transfers (jumps, branches, loops, jump tables, returns and tail
+    calls; not calls) are leaders.  The first instruction, and the first
+    one after a block-ending transfer, start a block wherever they lie.
+    A block that runs into a leader gets a fallthrough edge only if that
+    leader is its last instruction's [next].  Successors outside the
+    function are dropped.  The linear sweep ({!analyze}) and the
+    recursive descent of [Binsight.Disasm] both split their instructions
+    here. *)
 
 val analyze : t -> bfunc list
 (** Disassemble and reconstruct every function's CFG. *)

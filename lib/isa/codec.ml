@@ -486,12 +486,13 @@ let decode arch text ~pos =
   end;
   (i, r.pos)
 
-let decode_all arch text =
-  let rec go pos acc =
-    if pos >= String.length text then List.rev acc
+let sweep arch text ~pos ~stop f =
+  let rec go pos n =
+    if pos >= stop then n
     else begin
       let i, next = decode arch text ~pos in
-      go next ((pos, i) :: acc)
+      f pos i next;
+      go next (n + 1)
     end
   in
-  go 0 []
+  Telemetry.add_count ~by:(go pos 0) "isa.sweep.insns"

@@ -29,6 +29,18 @@ val decode : Insn.arch -> string -> pos:int -> Insn.insn * int
     and the offset of the next instruction.  Raises [Invalid_argument] on
     malformed bytes. *)
 
-val decode_all : Insn.arch -> string -> (int * Insn.insn) list
-(** Linear-sweep disassembly of a whole text section:
-    [(offset, instruction)] pairs. *)
+val sweep :
+  Insn.arch ->
+  string ->
+  pos:int ->
+  stop:int ->
+  (int -> Insn.insn -> int -> unit) ->
+  unit
+(** [sweep arch text ~pos ~stop f] is the linear sweep: it calls
+    [f offset insn next] for each instruction from [pos] on, in order,
+    while [offset < stop], so the last one may run past [stop].  Every
+    linear reader of code decodes through it; only the recursive descent
+    and the gadget census decode at offsets of their own choosing.  A
+    finished sweep adds its instruction count to the telemetry counter
+    ["isa.sweep.insns"].
+    Raises [Invalid_argument] where {!decode} does. *)

@@ -13,8 +13,6 @@ type model = {
    historical in-module one, so trained accuracy is unaffected). *)
 let nfeat = Binsight.Features.n_provenance
 
-let features = Binsight.Features.provenance_vector
-
 let distance a b =
   let d = ref 0.0 in
   Array.iteri (fun i x -> d := !d +. ((x -. b.(i)) ** 2.0)) a;
@@ -25,7 +23,7 @@ let train labelled =
   let groups = Hashtbl.create 16 in
   List.iter
     (fun (lbl, bin) ->
-      let f = features bin in
+      let f = Binsight.Features.provenance_vector bin in
       let cur = try Hashtbl.find groups lbl with Not_found -> [] in
       Hashtbl.replace groups lbl (f :: cur))
     labelled;
@@ -44,14 +42,14 @@ let train labelled =
     List.map
       (fun (lbl, bin) ->
         let c = List.assoc lbl centroids in
-        distance (features bin) c)
+        distance (Binsight.Features.provenance_vector bin) c)
       labelled
   in
   let threshold = Util.Stats.percentile dists 0.95 *. 1.25 in
   { centroids; threshold = max threshold 0.01 }
 
 let classify model bin =
-  let f = features bin in
+  let f = Binsight.Features.provenance_vector bin in
   let best =
     List.fold_left
       (fun acc (lbl, c) ->

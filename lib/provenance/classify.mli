@@ -1,8 +1,9 @@
 (** Compiler-provenance recovery — the BinComp / ORIGIN substitute behind
     the Figure 1(a) Mirai study.
 
-    A nearest-centroid classifier over binary-level features (opcode-kind
-    histogram, prologue shape, alignment padding, switch-lowering and
+    A nearest-centroid classifier over binary-level features
+    ({!Binsight.Features.provenance_vector}: opcode-kind histogram,
+    prologue shape, alignment padding, switch-lowering and
     vector/loop-instruction witnesses) trained on labelled binaries
     compiled at the known presets.  A sample whose distance to every
     preset centroid exceeds a calibrated threshold is labelled
@@ -15,10 +16,6 @@ type label = {
 }
 
 type model
-
-val features : Isa.Binary.t -> float array
-(** Alias of {!Binsight.Features.provenance_vector} — the classifier
-    trains on binsight-extracted features. *)
 
 val train : (label * Isa.Binary.t) list -> model
 (** Labelled presets only. *)

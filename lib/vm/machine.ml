@@ -103,15 +103,16 @@ exception Bad_operand of string
 let prepare (bin : Isa.Binary.t) =
   let text_length = String.length bin.text in
   let decoded =
-    let rec go pos acc =
-      if pos >= text_length then List.rev acc
-      else
-        match Isa.Codec.decode bin.arch bin.text ~pos with
-        | insn, next -> go next ((pos, insn, next) :: acc)
-        | exception Invalid_argument msg ->
-          trapf "undecodable text at %#x: %s" pos msg
-    in
-    Array.of_list (go 0 [])
+    (* [pos] is where the sweep decodes next, so a decode error is
+       reported at the offset it happened *)
+    let acc = ref [] and pos = ref 0 in
+    (try
+       Isa.Codec.sweep bin.arch bin.text ~pos:0 ~stop:text_length
+         (fun off insn next ->
+           acc := (off, insn, next) :: !acc;
+           pos := next)
+     with Invalid_argument msg -> trapf "undecodable text at %#x: %s" !pos msg);
+    Array.of_list (List.rev !acc)
   in
   let n = Array.length decoded in
   let index = Array.make (text_length + 1) (-1) in

@@ -1,8 +1,8 @@
 (* Binary static-analysis subsystem (lib/binsight) tests: the
    corpus-wide disassembler differential, the gadget-census DP vs its
    brute-force reference on fuzzed programs, frozen golden digests of
-   the inspect JSON, stack-bound sanity and the provenance
-   feature-vector parity. *)
+   the inspect JSON, stack-bound sanity and the count of linear sweeps
+   one inspect makes. *)
 
 let archs = [ Isa.Insn.X86_64; Isa.Insn.X86_32; Isa.Insn.Arm; Isa.Insn.Mips ]
 
@@ -108,20 +108,30 @@ let test_stack_bounds_finite () =
         archs)
     [ "462.libquantum"; "429.mcf" ]
 
-(* The provenance classifier's feature extractor is the binsight one. *)
-let test_provenance_parity () =
-  let b = Corpus.find "openssl" in
-  List.iter
-    (fun preset ->
-      let bin =
-        Toolchain.Pipeline.compile_preset Toolchain.Flags.llvm preset
-          (Corpus.program b)
-      in
-      Alcotest.(check (array (float 0.0)))
-        (preset ^ " feature vectors identical")
-        (Binsight.Features.provenance_vector bin)
-        (Provenance.Classify.features bin))
-    [ "O0"; "O3" ]
+(* One inspect decodes each function's range once, for the CFGs, and
+   the whole text once, for the features.  The recursive descent and the
+   gadget census decode at chosen offsets and are not sweeps. *)
+let test_inspect_sweeps () =
+  let b = Corpus.find "462.libquantum" in
+  let bin =
+    Toolchain.Pipeline.compile_preset Toolchain.Flags.gcc "O2"
+      (Corpus.program b)
+  in
+  let per_function =
+    List.fold_left
+      (fun acc (f : Isa.Binary.bfunc) -> acc + List.length f.f_insns)
+      0 (Isa.Binary.analyze bin)
+  in
+  let whole_text = String.length (Diffing.Bcode.code_stream bin) in
+  let t = Telemetry.create () in
+  Telemetry.set_global t;
+  Fun.protect
+    ~finally:(fun () -> Telemetry.set_global Telemetry.null)
+    (fun () -> ignore (Binsight.Report.inspect bin));
+  Alcotest.(check bool) "the binary has code" true (whole_text > 0);
+  Alcotest.(check int) "swept instructions: per function + one whole text"
+    (per_function + whole_text)
+    (Telemetry.counter_value t "isa.sweep.insns")
 
 let tests =
   [
@@ -132,6 +142,6 @@ let tests =
       test_golden_digests;
     Alcotest.test_case "stack bounds finite on corpus" `Quick
       test_stack_bounds_finite;
-    Alcotest.test_case "provenance feature parity" `Quick
-      test_provenance_parity;
+    Alcotest.test_case "inspect sweeps the text once" `Quick
+      test_inspect_sweeps;
   ]

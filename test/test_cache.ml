@@ -178,7 +178,6 @@ let prop_database_lookup_matches_fresh =
    second round is served entirely from the table. *)
 let test_sizecache_distance_exact () =
   let cache = Compress.Sizecache.create () in
-  let level = Compress.Sizecache.level cache in
   List.iter
     (fun bench ->
       let prog = Corpus.program bench in
@@ -187,7 +186,7 @@ let test_sizecache_distance_exact () =
           (Toolchain.Pipeline.compile_preset Toolchain.Flags.gcc preset prog)
       in
       let baseline = stream "O0" and candidate = stream "O2" in
-      let uncached = Compress.Ncd.distance ~level candidate baseline in
+      let uncached = Compress.Ncd.distance candidate baseline in
       List.iter
         (fun round ->
           Alcotest.(check (float 0.0))

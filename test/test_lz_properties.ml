@@ -14,10 +14,24 @@
 let levels =
   [ Compress.Lz.Greedy; Compress.Lz.Chained 1; Compress.Lz.Chained 128 ]
 
+(* The entry points run at the process default level; the properties
+   reach each level by installing it for the length of one call. *)
+let at_level level f =
+  let saved = Compress.Lz.default_level () in
+  Compress.Lz.set_default_level level;
+  Fun.protect ~finally:(fun () -> Compress.Lz.set_default_level saved) f
+
+let compress level s = at_level level (fun () -> Compress.Lz.compress s)
+
+let compress_pair level x y =
+  at_level level (fun () -> Compress.Lz.compress_pair x y)
+
+let distance level x y = at_level level (fun () -> Compress.Ncd.distance x y)
+
 let roundtrip_all s =
   List.for_all
     (fun level ->
-      Compress.Lz.decompress (Compress.Lz.compress ~level s) = s)
+      Compress.Lz.decompress (compress level s) = s)
     levels
 
 (* --- adversarial generators --- *)
@@ -104,7 +118,7 @@ let prop_cross_finder =
     (fun (a, b) ->
       let s = a ^ b in
       let via level =
-        Compress.Lz.decompress (Compress.Lz.compress ~level s)
+        Compress.Lz.decompress (compress level s)
       in
       via Compress.Lz.Greedy = s
       && via (Compress.Lz.Chained 128) = s
@@ -118,8 +132,8 @@ let prop_pair_equals_concat =
       let x, y = corpus_pair ij in
       List.for_all
         (fun level ->
-          Compress.Lz.compress_pair ~level x y
-          = Compress.Lz.compress ~level (x ^ y))
+          compress_pair level x y
+          = compress level (x ^ y))
         levels)
 
 let test_pair_edge_cases () =
@@ -130,8 +144,8 @@ let test_pair_edge_cases () =
           Alcotest.(check string)
             (Printf.sprintf "pair %s (%d,%d)" (Compress.Lz.level_name level)
                (String.length x) (String.length y))
-            (Compress.Lz.compress ~level (x ^ y))
-            (Compress.Lz.compress_pair ~level x y))
+            (compress level (x ^ y))
+            (compress_pair level x y))
         [ ("", ""); ("", "abc"); ("abc", ""); ("a", "a"); ("ab", "abab") ])
     levels
 
@@ -176,7 +190,7 @@ let test_greedy_golden_digests () =
   List.iter2
     (fun (name, s) (name', digest, size) ->
       assert (name = name');
-      let c = Compress.Lz.compress ~level:Compress.Lz.Greedy s in
+      let c = compress Compress.Lz.Greedy s in
       Alcotest.(check string)
         (name ^ ": greedy output digest") digest
         (Digest.to_hex (Digest.string c));
@@ -193,7 +207,7 @@ let prop_ncd_self =
     (fun x ->
       List.for_all
         (fun level ->
-          let d = Compress.Ncd.distance ~level x x in
+          let d = distance level x x in
           d >= 0.0 && d <= 0.25)
         ncd_levels)
 
@@ -208,8 +222,8 @@ let prop_ncd_symmetry =
       List.for_all
         (fun level ->
           abs_float
-            (Compress.Ncd.distance ~level x y
-            -. Compress.Ncd.distance ~level y x)
+            (distance level x y
+            -. distance level y x)
           <= 0.1)
         ncd_levels)
 
@@ -222,7 +236,7 @@ let prop_ncd_range =
     (fun (x, y) ->
       List.for_all
         (fun level ->
-          let d = Compress.Ncd.distance ~level x y in
+          let d = distance level x y in
           d >= 0.0 && d <= 1.15)
         ncd_levels)
 

@@ -797,7 +797,7 @@ let test_provenance_feature_shape () =
     Toolchain.Pipeline.compile_preset Toolchain.Flags.gcc "O2"
       (Corpus.program (Corpus.find "429.mcf"))
   in
-  let f = Provenance.Classify.features bin in
+  let f = Binsight.Features.provenance_vector bin in
   Alcotest.(check bool) "normalized features" true
     (Array.for_all (fun x -> x >= 0.0 && x <= 1.0) f)
 
