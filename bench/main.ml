@@ -435,7 +435,7 @@ let ollvm_binary profile bench =
   let ir = Toolchain.Pipeline.apply_passes cfg (Corpus.program bench) in
   Obf.Ollvm.apply_all ~seed:1 ir;
   Codegen.Emit.compile_program
-    ~options:(Toolchain.Config.codegen_options cfg)
+    ~options:cfg.Toolchain.Config.codegen
     ~arch:Isa.Insn.X86_64 ~profile:profile.profile_name ~opt_label:"O-LLVM" ir
 
 let fig8_setting title bench profile settings =

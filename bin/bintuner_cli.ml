@@ -105,6 +105,25 @@ let compile_cmd =
     Term.(const run $ bench_arg $ source_arg $ profile_arg $ arch_arg $ preset
           $ verify_ir_arg)
 
+(* --trace FILE and --perf-profile: run [f] under an enabled telemetry
+   instance, then print the summary, flush the counters and close the
+   trace, also when [f] raises *)
+let with_telemetry ~trace ~prof f =
+  if trace = None && not prof then f ()
+  else begin
+    let channel = Option.map open_out trace in
+    Telemetry.set_global
+      (Telemetry.create
+         ?sink:(Option.map (fun oc -> Telemetry.Channel oc) channel)
+         ());
+    Fun.protect
+      ~finally:(fun () ->
+        if prof then print_string (Telemetry.summary (Telemetry.global ()));
+        Telemetry.flush (Telemetry.global ());
+        Option.iter close_out channel)
+      f
+  end
+
 let tune_cmd =
   let iterations =
     Arg.(value & opt int 500
@@ -191,49 +210,44 @@ let tune_cmd =
       { Search.default_termination with max_evaluations = iterations }
     in
     let j = if jobs <= 0 then Parallel.Pool.default_size () else jobs in
-    let trace_channel = Option.map open_out trace in
-    if trace_channel <> None || prof then
-      Telemetry.set_global
-        (Telemetry.create
-           ?sink:(Option.map (fun oc -> Telemetry.Channel oc) trace_channel)
-           ());
     let r =
-      Parallel.Pool.with_pool j (fun pool ->
-          Bintuner.Tuner.tune ~arch ~termination
-            ~strategy:(Search.of_name strategy) ~pool ~objectives ~profile:p
-            b)
+      with_telemetry ~trace ~prof @@ fun () ->
+      let r =
+        Parallel.Pool.with_pool j (fun pool ->
+            Bintuner.Tuner.tune ~arch ~termination
+              ~strategy:(Search.of_name strategy) ~pool ~objectives ~profile:p
+              b)
+      in
+      Printf.printf
+        "tuned %s with %s [%s]: %d iterations, fitness NCD %.3f, functional %b\n"
+        r.benchmark r.profile_name r.strategy r.iterations r.best_ncd
+        r.functional_ok;
+      if not (Search.Objective.is_scalar_ncd objectives) then begin
+        Printf.printf "objectives: %s  best [%s]\n"
+          (String.concat "," r.objectives)
+          (String.concat " "
+             (List.map (Printf.sprintf "%.3f") (Array.to_list r.best_scores)));
+        Printf.printf "pareto front: %d points\n" (List.length r.front);
+        List.iter
+          (fun (v, f) ->
+            Printf.printf "  front %s [%s]\n"
+              (Bintuner.Database.vector_to_string v)
+              (String.concat " "
+                 (List.map (Printf.sprintf "%.3f") (Array.to_list f))))
+          r.front
+      end;
+      let counter = Bintuner.Tuner.counter r in
+      Printf.printf "compile memo: %d of %d compile requests served from cache (-j %d)\n"
+        (counter "memo.hit") (counter "memo.hit" + counter "memo.miss") j;
+      Printf.printf
+        "prefix cache: %d of %d snapshot lookups hit (compiles resume \
+         mid-pipeline)\n"
+        (counter "incr.hit") (counter "incr.hit" + counter "incr.miss");
+      List.iter (fun (n, v) -> Printf.printf "  %-3s fitness %.3f\n" n v) r.preset_ncd;
+      Printf.printf "flags: %s\n"
+        (String.concat " " (Bintuner.Tuner.flags_enabled p r.best_vector));
+      r
     in
-    Printf.printf
-      "tuned %s with %s [%s]: %d iterations, fitness NCD %.3f, functional %b\n"
-      r.benchmark r.profile_name r.strategy r.iterations r.best_ncd
-      r.functional_ok;
-    if not (Search.Objective.is_scalar_ncd objectives) then begin
-      Printf.printf "objectives: %s  best [%s]\n"
-        (String.concat "," r.objectives)
-        (String.concat " "
-           (List.map (Printf.sprintf "%.3f") (Array.to_list r.best_scores)));
-      Printf.printf "pareto front: %d points\n" (List.length r.front);
-      List.iter
-        (fun (v, f) ->
-          Printf.printf "  front %s [%s]\n"
-            (Bintuner.Database.vector_to_string v)
-            (String.concat " "
-               (List.map (Printf.sprintf "%.3f") (Array.to_list f))))
-        r.front
-    end;
-    let counter = Bintuner.Tuner.counter r in
-    Printf.printf "compile memo: %d of %d compile requests served from cache (-j %d)\n"
-      (counter "memo.hit") (counter "memo.hit" + counter "memo.miss") j;
-    Printf.printf
-      "prefix cache: %d of %d snapshot lookups hit (compiles resume \
-       mid-pipeline)\n"
-      (counter "incr.hit") (counter "incr.hit" + counter "incr.miss");
-    List.iter (fun (n, v) -> Printf.printf "  %-3s fitness %.3f\n" n v) r.preset_ncd;
-    Printf.printf "flags: %s\n"
-      (String.concat " " (Bintuner.Tuner.flags_enabled p r.best_vector));
-    if prof then print_string (Telemetry.summary (Telemetry.global ()));
-    Telemetry.flush (Telemetry.global ());
-    Option.iter close_out trace_channel;
     match db with
     | None -> ()
     | Some path ->
@@ -295,23 +309,14 @@ let serve_cmd =
   in
   let run jobs socket store_dir store_mb memo_mb trace prof =
     let j = if jobs <= 0 then Parallel.Pool.default_size () else jobs in
-    let trace_channel = Option.map open_out trace in
-    if trace_channel <> None || prof then
-      Telemetry.set_global
-        (Telemetry.create
-           ?sink:(Option.map (fun oc -> Telemetry.Channel oc) trace_channel)
-           ());
+    with_telemetry ~trace ~prof @@ fun () ->
     let srv =
       Bintuner.Server.create ~jobs:j ?store_dir
         ~store_max_bytes:(store_mb * 1024 * 1024)
         ~memo_max_bytes:(memo_mb * 1024 * 1024) ()
     in
     Fun.protect
-      ~finally:(fun () ->
-        Bintuner.Server.close srv;
-        if prof then print_string (Telemetry.summary (Telemetry.global ()));
-        Telemetry.flush (Telemetry.global ());
-        Option.iter close_out trace_channel)
+      ~finally:(fun () -> Bintuner.Server.close srv)
       (fun () ->
         match socket with
         | Some path -> Bintuner.Server.serve_unix srv path

@@ -122,9 +122,11 @@ module Make_graph (D : GRAPH_DOMAIN) = struct
     | Forward -> List.iter push ns
     | Backward -> List.iter push (List.rev ns));
     let visits = Hashtbl.create (2 * n) in
+    let total = ref 0 in
     while not (Queue.is_empty queue) do
       let nd = Queue.take queue in
       Hashtbl.remove queued nd;
+      incr total;
       (* the side fed to [transfer]: in for forward, out for backward *)
       let neighbour_facts =
         match D.direction with
@@ -163,6 +165,7 @@ module Make_graph (D : GRAPH_DOMAIN) = struct
         List.iter push dependents
       end
     done;
+    Telemetry.add_count ~by:!total "dataflow.engine.visits";
     (in_facts, out_facts)
 end
 
@@ -464,42 +467,63 @@ module Reaching = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Instance: constant propagation (forward, flat lattice per register)  *)
+(* Forward value analyses: one register-environment skeleton            *)
 (* ------------------------------------------------------------------ *)
 
-module Constprop = struct
-  type cval = Const of int | Top
+(* A value domain for one register.  [truth] reads a value as a branch
+   or [Select] condition: [Some true] when it is surely nonzero,
+   [Some false] when it is surely 0, [None] when it may be either. *)
+module type VALUE = sig
+  type v
+
+  val const : int -> v
+  val top : v
+  val join : v -> v -> v
+  val widen : v -> v -> v
+  val bin : binop -> v -> v -> v
+  val un : unop -> v -> v
+  val truth : v -> bool option
+end
+
+module type VALUE_ANALYSIS = sig
+  type v
+  type t = Unreached | Env of v Imap.t
+
+  val lookup : v Imap.t -> int -> v
+  val operand : v Imap.t -> operand -> v
+  val eval_instr : v Imap.t -> instr -> v Imap.t
+  val solve : func -> (int, t) Hashtbl.t * (int, t) Hashtbl.t
+end
+
+module Value_analysis (D : VALUE) : VALUE_ANALYSIS with type v = D.v = struct
+  type v = D.v
 
   (* [Unreached] is the solver bottom (identity of join); inside [Env],
      an absent register means "still holds its initial 0" — the
      interpreter and the VM both zero-initialize register state, so this
-     is exact, and the canonical form never stores [Const 0]. *)
-  type t = Unreached | Env of cval Imap.t
+     is exact, and the canonical form never stores a value known to be
+     0. *)
+  type t = Unreached | Env of v Imap.t
+
+  let zero = D.const 0
 
   let lookup env r =
-    match Imap.find_opt r env with Some v -> v | None -> Const 0
+    match Imap.find_opt r env with Some v -> v | None -> zero
 
-  let set env r v =
-    match v with Const 0 -> Imap.remove r env | _ -> Imap.add r v env
+  (* a value whose truth is [Some false] is exactly 0 *)
+  let is_zero v = match D.truth v with Some false -> true | _ -> false
+  let keep v = if is_zero v then None else Some v
+  let set env r v = if is_zero v then Imap.remove r env else Imap.add r v env
 
-  let join_cval a b =
-    match (a, b) with
-    | Const x, Const y when x = y -> Const x
-    | _ -> Top
-
-  let join a b =
+  let pointwise f a b =
     match (a, b) with
     | Unreached, x | x, Unreached -> x
     | Env ea, Env eb ->
       Env
         (Imap.merge
            (fun _ va vb ->
-             let v =
-               join_cval
-                 (Option.value va ~default:(Const 0))
-                 (Option.value vb ~default:(Const 0))
-             in
-             match v with Const 0 -> None | _ -> Some v)
+             keep
+               (f (Option.value va ~default:zero) (Option.value vb ~default:zero)))
            ea eb)
 
   let equal a b =
@@ -508,9 +532,7 @@ module Constprop = struct
     | Env ea, Env eb -> Imap.equal ( = ) ea eb
     | _ -> false
 
-  let operand env = function
-    | Imm n -> Const n
-    | Reg r -> lookup env r
+  let operand env = function Imm n -> D.const n | Reg r -> lookup env r
 
   let eval_instr env i =
     match instr_def i with
@@ -518,62 +540,82 @@ module Constprop = struct
     | Some d -> (
       match i with
       | Mov (_, src) -> set env d (operand env src)
-      | Bin (op, _, a, b) -> (
-        match (operand env a, operand env b) with
-        | Const x, Const y -> set env d (Const (eval_binop op x y))
-        | _ -> set env d Top)
-      | Un (op, _, a) -> (
-        match operand env a with
-        | Const x -> set env d (Const (eval_unop op x))
-        | Top -> set env d Top)
+      | Bin (op, _, a, b) -> set env d (D.bin op (operand env a) (operand env b))
+      | Un (op, _, a) -> set env d (D.un op (operand env a))
       | Select (_, c, x, y) -> (
-        match operand env c with
-        | Const n -> set env d (operand env (if n <> 0 then x else y))
-        | Top -> set env d (join_cval (operand env x) (operand env y)))
+        match D.truth (operand env c) with
+        | Some true -> set env d (operand env x)
+        | Some false -> set env d (operand env y)
+        | None -> set env d (D.join (operand env x) (operand env y)))
       | Load _ | Slot_load _ | Call _ | Vreduce _ | Read_input _
       | Input_len _ ->
-        set env d Top
+        set env d D.top
       | Store _ | Slot_store _ | Vload _ | Vstore _ | Vbin _ | Vsplat _
       | Vpack _ | Print_int _ | Print_char _ ->
         env)
 
   (* [Loop_branch] decrements its counter register as part of the
      terminator, so the value any successor sees is not the value the
-     block's instructions left behind.  Clearing the counter to [Top] at
+     block's instructions left behind.  Clearing the counter to [top] at
      block exit keeps the out-facts sound — without it, a constant seeded
      before the loop would wrongly survive every iteration. *)
   let kill_loop_counter b env =
-    match b.term with Loop_branch (r, _, _) -> Imap.add r Top env | _ -> env
-
-  let block_transfer b = function
-    | Unreached -> Unreached
-    | Env env -> Env (kill_loop_counter b (List.fold_left eval_instr env b.instrs))
+    match b.term with Loop_branch (r, _, _) -> Imap.add r D.top env | _ -> env
 
   let solve (f : func) =
-    let module D = struct
-      type t' = t
-      type t = t'
+    let module S = Make (struct
+      type nonrec t = t
 
       let direction = Forward
 
       let boundary f =
         Env
-          (List.fold_left (fun env p -> Imap.add p Top env) Imap.empty f.params)
+          (List.fold_left (fun env p -> Imap.add p D.top env) Imap.empty f.params)
 
       let bottom _ = Unreached
       let equal = equal
-      let join = join
-      let widen = join
-      let transfer _ = block_transfer
-    end in
-    let module S = Make (D) in
+      let join = pointwise D.join
+      let widen = pointwise D.widen
+
+      let transfer _ b = function
+        | Unreached -> Unreached
+        | Env env ->
+          Env (kill_loop_counter b (List.fold_left eval_instr env b.instrs))
+    end) in
     S.solve f
 end
 
-(* ------------------------------------------------------------------ *)
-(* Instance: integer intervals (forward, widened)                      *)
-(* ------------------------------------------------------------------ *)
+(* Constant propagation: a flat lattice per register. *)
+module Constprop = struct
+  type cval = Const of int | Top
 
+  include Value_analysis (struct
+    type v = cval
+
+    let const n = Const n
+    let top = Top
+
+    let join a b =
+      match (a, b) with Const x, Const y when x = y -> a | _ -> Top
+
+    (* the lattice has finite height *)
+    let widen = join
+
+    let bin op a b =
+      match (a, b) with
+      | Const x, Const y -> Const (eval_binop op x y)
+      | _ -> Top
+
+    let un op = function Const x -> Const (eval_unop op x) | Top -> Top
+
+    let truth = function
+      | Const 0 -> Some false
+      | Const _ -> Some true
+      | Top -> None
+  end)
+end
+
+(* Integer intervals, widened after [widen_delay] visits of a block. *)
 module Interval = struct
   (* [min_int]/[max_int] double as -∞/+∞; every arithmetic helper
      saturates, so a bound that would overflow becomes infinite rather
@@ -582,7 +624,6 @@ module Interval = struct
 
   let top = { lo = min_int; hi = max_int }
   let const n = { lo = n; hi = n }
-  let zero = const 0
   let is_top v = v.lo = min_int && v.hi = max_int
 
   let sat_add a b =
@@ -620,9 +661,22 @@ module Interval = struct
       }
 
   let hull x y = { lo = min x.lo y.lo; hi = max x.hi y.hi }
+
+  (* a bound that moved since the last visit jumps to infinity *)
+  let widen o n =
+    {
+      lo = (if n.lo < o.lo then min_int else o.lo);
+      hi = (if n.hi > o.hi then max_int else o.hi);
+    }
+
+  let truth v =
+    if v.lo > 0 || v.hi < 0 then Some true
+    else if v.lo = 0 && v.hi = 0 then Some false
+    else None
+
   let bool_itv = { lo = 0; hi = 1 }
 
-  let eval_bin op x y =
+  let bin op x y =
     match op with
     | Add -> add x y
     | Sub -> sub x y
@@ -642,104 +696,17 @@ module Interval = struct
       else top
     | Div | Or | Xor | Shl | Shr -> top
 
-  type t = Unreached | Env of itv Imap.t
-  (* absent register = still 0, as in [Constprop] *)
+  include Value_analysis (struct
+    type v = itv
 
-  let lookup env r = match Imap.find_opt r env with Some v -> v | None -> zero
+    let const = const
+    let top = top
+    let join = hull
+    let widen = widen
+    let bin = bin
 
-  let set env r v =
-    if v.lo = 0 && v.hi = 0 then Imap.remove r env else Imap.add r v env
-
-  let join a b =
-    match (a, b) with
-    | Unreached, x | x, Unreached -> x
-    | Env ea, Env eb ->
-      Env
-        (Imap.merge
-           (fun _ va vb ->
-             let v =
-               hull (Option.value va ~default:zero)
-                 (Option.value vb ~default:zero)
-             in
-             if v.lo = 0 && v.hi = 0 then None else Some v)
-           ea eb)
-
-  let widen a b =
-    match (a, b) with
-    | Unreached, x | x, Unreached -> x
-    | Env ea, Env eb ->
-      Env
-        (Imap.merge
-           (fun _ va vb ->
-             let o = Option.value va ~default:zero in
-             let n = Option.value vb ~default:zero in
-             let v =
-               {
-                 lo = (if n.lo < o.lo then min_int else o.lo);
-                 hi = (if n.hi > o.hi then max_int else o.hi);
-               }
-             in
-             if v.lo = 0 && v.hi = 0 then None else Some v)
-           ea eb)
-
-  let equal a b =
-    match (a, b) with
-    | Unreached, Unreached -> true
-    | Env ea, Env eb -> Imap.equal ( = ) ea eb
-    | _ -> false
-
-  let operand env = function Imm n -> const n | Reg r -> lookup env r
-
-  let eval_instr env i =
-    match instr_def i with
-    | None -> env
-    | Some d -> (
-      match i with
-      | Mov (_, src) -> set env d (operand env src)
-      | Bin (op, _, a, b) -> set env d (eval_bin op (operand env a) (operand env b))
-      | Un (Neg, _, a) -> set env d (neg (operand env a))
-      | Un (Not, _, a) ->
-        let x = operand env a in
-        (* lnot x = -x - 1 *)
-        set env d (sub (neg x) (const 1))
-      | Select (_, c, x, y) -> (
-        let vc = operand env c in
-        if vc.lo > 0 || vc.hi < 0 then set env d (operand env x)
-        else if vc.lo = 0 && vc.hi = 0 then set env d (operand env y)
-        else set env d (hull (operand env x) (operand env y)))
-      | Load _ | Slot_load _ | Call _ | Vreduce _ | Read_input _
-      | Input_len _ ->
-        set env d top
-      | Store _ | Slot_store _ | Vload _ | Vstore _ | Vbin _ | Vsplat _
-      | Vpack _ | Print_int _ | Print_char _ ->
-        env)
-
-  (* as in {!Constprop}: a [Loop_branch] terminator mutates its counter,
-     so its interval must not flow past the block exit *)
-  let kill_loop_counter b env =
-    match b.term with Loop_branch (r, _, _) -> Imap.add r top env | _ -> env
-
-  let block_transfer b = function
-    | Unreached -> Unreached
-    | Env env -> Env (kill_loop_counter b (List.fold_left eval_instr env b.instrs))
-
-  let solve (f : func) =
-    let module D = struct
-      type t' = t
-      type t = t'
-
-      let direction = Forward
-
-      let boundary f =
-        Env
-          (List.fold_left (fun env p -> Imap.add p top env) Imap.empty f.params)
-
-      let bottom _ = Unreached
-      let equal = equal
-      let join = join
-      let widen = widen
-      let transfer _ = block_transfer
-    end in
-    let module S = Make (D) in
-    S.solve f
+    (* lnot x = -x - 1 *)
+    let un op x = match op with Neg -> neg x | Not -> sub (neg x) (const 1)
+    let truth = truth
+  end)
 end

@@ -100,7 +100,8 @@ module type GRAPH_DOMAIN = sig
   val transfer : G.t -> G.node -> t -> t
 end
 
-(** Generic fixpoint engine over any {!GRAPH_DOMAIN}. *)
+(** Generic fixpoint engine over any {!GRAPH_DOMAIN}.  Each [solve]
+    adds its node visits to the [dataflow.engine.visits] counter. *)
 module Make_graph (D : GRAPH_DOMAIN) : sig
   type fact = D.t
 
@@ -192,22 +193,33 @@ module Reaching : sig
     Vir.Ir.func -> (int, Sset.t) Hashtbl.t * (int, Sset.t) Hashtbl.t
 end
 
+(** A forward value analysis: one abstract value per register, solved
+    on {!Make}.  {!Constprop} and {!Interval} are the two instances of
+    one skeleton, which differ only in their value domain. *)
+module type VALUE_ANALYSIS = sig
+  type v
+
+  type t = Unreached | Env of v Imap.t
+  (** Inside [Env], an absent register means "still holds its initial
+      0"; the canonical form never stores a value known to be 0. *)
+
+  val lookup : v Imap.t -> int -> v
+  val operand : v Imap.t -> Vir.Ir.operand -> v
+  val eval_instr : v Imap.t -> Vir.Ir.instr -> v Imap.t
+
+  val solve : Vir.Ir.func -> (int, t) Hashtbl.t * (int, t) Hashtbl.t
+  (** [Unreached] facts mark blocks no path reaches.  A [Loop_branch]
+      counter is [top] in its block's out-fact, as the terminator
+      changes it. *)
+end
+
 (** Conditional constant propagation facts (flat lattice per register;
     the solver's reachability component makes it SCCP-grade: facts from
     unreached blocks stay [Unreached]). *)
 module Constprop : sig
   type cval = Const of int | Top
 
-  type t = Unreached | Env of cval Imap.t
-  (** Inside [Env], an absent register means "still holds its initial
-      0"; the canonical form never stores [Const 0]. *)
-
-  val lookup : cval Imap.t -> int -> cval
-  val join : t -> t -> t
-  val equal : t -> t -> bool
-  val operand : cval Imap.t -> Vir.Ir.operand -> cval
-  val eval_instr : cval Imap.t -> Vir.Ir.instr -> cval Imap.t
-  val solve : Vir.Ir.func -> (int, t) Hashtbl.t * (int, t) Hashtbl.t
+  include VALUE_ANALYSIS with type v := cval
 end
 
 (** Integer interval analysis (forward, widened after a few visits
@@ -221,14 +233,12 @@ module Interval : sig
   val add : itv -> itv -> itv
   val hull : itv -> itv -> itv
 
-  type t = Unreached | Env of itv Imap.t
-  (** As in {!Constprop}: an absent register is exactly 0. *)
+  val widen : itv -> itv -> itv
+  (** [widen old_value new_value]: each bound that moved goes to ∞. *)
 
-  val lookup : itv Imap.t -> int -> itv
-  val join : t -> t -> t
-  val widen : t -> t -> t
-  val equal : t -> t -> bool
-  val operand : itv Imap.t -> Vir.Ir.operand -> itv
-  val eval_instr : itv Imap.t -> Vir.Ir.instr -> itv Imap.t
-  val solve : Vir.Ir.func -> (int, t) Hashtbl.t * (int, t) Hashtbl.t
+  val truth : itv -> bool option
+  (** As a condition: [Some true] when the interval excludes 0,
+      [Some false] when it is exactly 0, [None] otherwise. *)
+
+  include VALUE_ANALYSIS with type v := itv
 end

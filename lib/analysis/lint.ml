@@ -103,12 +103,13 @@ let lint_func (p : program) (f : func) : finding list =
           | Reg r -> Dataflow.Interval.lookup env r
         in
         match b.term with
-        | Br (c, _, _) ->
-          let v = itv_of c in
-          if v.Dataflow.Interval.lo > 0 || v.Dataflow.Interval.hi < 0 then
+        | Br (c, _, _) -> (
+          match Dataflow.Interval.truth (itv_of c) with
+          | Some true ->
             add "always-true" "L%d: branch condition is always true" b.label
-          else if v.Dataflow.Interval.lo = 0 && v.Dataflow.Interval.hi = 0 then
+          | Some false ->
             add "always-false" "L%d: branch condition is always false" b.label
+          | None -> ())
         | Switch (v, cases, _) ->
           let itv = itv_of v in
           let seen = Hashtbl.create 8 in

@@ -189,17 +189,11 @@ module D = struct
     | S x, S y ->
       S { dep = Itv.hull x.dep y.dep; fp_dep = Itv.hull x.fp_dep y.fp_dep }
 
-  let widen_itv (o : Itv.itv) (n : Itv.itv) =
-    {
-      Itv.lo = (if n.Itv.lo < o.Itv.lo then min_int else o.Itv.lo);
-      hi = (if n.Itv.hi > o.Itv.hi then max_int else o.Itv.hi);
-    }
-
   let widen a b =
     match (a, b) with
     | Unreached, x | x, Unreached -> x
     | S o, S n ->
-      S { dep = widen_itv o.dep n.dep; fp_dep = widen_itv o.fp_dep n.fp_dep }
+      S { dep = Itv.widen o.dep n.dep; fp_dep = Itv.widen o.fp_dep n.fp_dep }
 
   let transfer (g : G.t) a fct =
     match fct with

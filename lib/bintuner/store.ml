@@ -207,25 +207,31 @@ let store t key payload =
 (* Typed wrappers                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Compiled binaries are marshaled records ([Isa.Binary.t] is pure
-   data).  The payload digest already rejects torn bytes; the try guards
-   against a valid-digest entry written by an incompatible build, which
-   degrades to a miss rather than an exception. *)
-let find_binary t key =
+(* {!find} + decode.  The payload digest already rejects torn bytes; an
+   entry that passes it but does not decode (written by an incompatible
+   build, or under the wrong kind of key) is quarantined and reported as
+   a miss, so the recomputed value can take its place rather than every
+   later lookup reading the same bad file. *)
+let find_decoded decode t key =
   match find t key with
   | None -> None
   | Some payload -> (
-    match (Marshal.from_string payload 0 : Isa.Binary.t) with
-    | bin -> Some bin
-    | exception _ ->
+    match decode payload with
+    | Some _ as v -> v
+    | None ->
       quarantine t (key_digest key);
       None)
+
+(* Compiled binaries are marshaled records ([Isa.Binary.t] is pure
+   data). *)
+let find_binary =
+  find_decoded (fun payload ->
+      try Some (Marshal.from_string payload 0 : Isa.Binary.t) with _ -> None)
 
 let store_binary t key (bin : Isa.Binary.t) =
   store t key (Marshal.to_string bin [])
 
-let find_size t key =
-  match find t key with None -> None | Some s -> int_of_string_opt s
+let find_size = find_decoded int_of_string_opt
 
 let store_size t key v = store t key (string_of_int v)
 

@@ -52,7 +52,9 @@ val find_binary : t -> string -> Isa.Binary.t option
 val store_binary : t -> string -> Isa.Binary.t -> unit
 
 val find_size : t -> string -> int option
-(** {!find} + integer decode of a compressed-size entry. *)
+(** {!find} + integer decode of a compressed-size entry; an entry that
+    does not decode is quarantined and reported as a miss, as in
+    {!find_binary}. *)
 
 val store_size : t -> string -> int -> unit
 

@@ -140,10 +140,15 @@ let linear_scan ~caller_pool ~callee_pool ~first_spill intervals =
     sorted;
   (assignment, List.sort compare !used_callee, !next_spill - first_spill)
 
-(* Compute coarse live intervals from block-level liveness. *)
-let intervals_of_func (live : Dataflow.liveness) (f : Ir.func) =
-  let start_tbl = Hashtbl.create 64 in
-  let stop_tbl = Hashtbl.create 64 in
+(* Coarse live intervals, (reg, start, stop, crosses_call), from
+   block-level liveness over the registers [uses]/[def]/[term_uses]
+   name; the [entry] registers are defined at position 0.  [size] is the
+   tables' initial size: [Hashtbl.fold] order breaks ties in
+   [linear_scan]'s stable sort, so it is part of the allocation. *)
+let live_intervals ~size ~uses ~def ~term_uses ~entry ~calls
+    (live : Dataflow.liveness) (f : Ir.func) =
+  let start_tbl = Hashtbl.create size in
+  let stop_tbl = Hashtbl.create size in
   let call_positions = ref [] in
   let touch r p =
     (match Hashtbl.find_opt start_tbl r with
@@ -160,24 +165,20 @@ let intervals_of_func (live : Dataflow.liveness) (f : Ir.func) =
       incr pos;
       List.iter
         (fun i ->
-          List.iter (fun r -> touch r !pos) (Ir.instr_uses i);
-          (match Ir.instr_def i with Some d -> touch d !pos | None -> ());
+          List.iter (fun r -> touch r !pos) (uses i);
+          (match def i with Some d -> touch d !pos | None -> ());
           (match i with
-          | Ir.Call _ -> call_positions := !pos :: !call_positions
+          | Ir.Call _ when calls -> call_positions := !pos :: !call_positions
           | _ -> ());
           incr pos)
         b.instrs;
-      List.iter (fun r -> touch r !pos) (Ir.term_uses b.term);
-      (match b.term with
-      | Ir.Loop_branch (r, _, _) -> touch r !pos
-      | _ -> ());
+      List.iter (fun r -> touch r !pos) (term_uses b.term);
       let bend = !pos in
       incr pos;
       Dataflow.Bits.iter (fun r -> touch r bstart) live.live_in.(p);
       Dataflow.Bits.iter (fun r -> touch r bend) live.live_out.(p))
     f.blocks;
-  (* parameters are defined at entry *)
-  List.iter (fun p -> touch p 0) f.params;
+  List.iter (fun r -> touch r 0) entry;
   let calls = !call_positions in
   Hashtbl.fold
     (fun r start acc ->
@@ -186,42 +187,22 @@ let intervals_of_func (live : Dataflow.liveness) (f : Ir.func) =
       (r, start, stop, crosses) :: acc)
     start_tbl []
 
+(* Scalar registers: parameters are defined at entry, and a
+   [Loop_branch] counter is a terminator use. *)
+let intervals_of_func live (f : Ir.func) =
+  live_intervals ~size:64 ~uses:Ir.instr_uses ~def:Ir.instr_def
+    ~term_uses:Ir.term_uses ~entry:f.params ~calls:true live f
+
 (* Vector register intervals.  Vector values cross blocks (a reduction
    accumulator lives from its splat in the preheader, through the loop
    body, to the reduce after the loop), so block-level vector liveness is
    required — position-only intervals break as soon as a layout pass
-   reorders the blocks. *)
+   reorders the blocks.  Vector registers come from one caller-saved
+   pool, so no interval is marked as crossing a call. *)
 let vintervals_of_func (f : Ir.func) =
-  let live = Dataflow.Vliveness.solve f in
-  let start_tbl = Hashtbl.create 8 in
-  let stop_tbl = Hashtbl.create 8 in
-  let touch r p =
-    (match Hashtbl.find_opt start_tbl r with
-    | Some s when s <= p -> ()
-    | Some _ | None -> Hashtbl.replace start_tbl r p);
-    match Hashtbl.find_opt stop_tbl r with
-    | Some s when s >= p -> ()
-    | Some _ | None -> Hashtbl.replace stop_tbl r p
-  in
-  let pos = ref 0 in
-  List.iteri
-    (fun p (b : Ir.block) ->
-      let bstart = !pos in
-      incr pos;
-      List.iter
-        (fun i ->
-          List.iter (fun r -> touch r !pos) (Ir.instr_vuses i);
-          (match Ir.instr_vdef i with Some d -> touch d !pos | None -> ());
-          incr pos)
-        b.instrs;
-      let bend = !pos in
-      incr pos;
-      Dataflow.Bits.iter (fun r -> touch r bstart) live.live_in.(p);
-      Dataflow.Bits.iter (fun r -> touch r bend) live.live_out.(p))
-    f.blocks;
-  Hashtbl.fold
-    (fun r start acc -> (r, start, Hashtbl.find stop_tbl r, false) :: acc)
-    start_tbl []
+  live_intervals ~size:8 ~uses:Ir.instr_vuses ~def:Ir.instr_vdef
+    ~term_uses:(fun _ -> [])
+    ~entry:[] ~calls:false (Dataflow.Vliveness.solve f) f
 
 (* ------------------------------------------------------------------ *)
 (* Emission context                                                    *)
@@ -759,7 +740,6 @@ let compile_function ~opts ~arch ~fids ~syms (f : Ir.func) =
     List.filter
       (fun r -> r < reg_cap && r <> fp && r <> sp && r < 4)
       [ 0; 1; 2; 3 ]
-    @ (if opts.return_reg < 4 then [] else [])
   in
   let caller_pool =
     if List.mem opts.return_reg caller_pool || opts.return_reg >= reg_cap

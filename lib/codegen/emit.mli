@@ -31,9 +31,11 @@ type options = {
   allocatable_regs : int;
   return_reg : int;
 }
-(** The defaults are -O0-flavoured: linear switches for < 4 cases else
-    jump table, no peephole, no alignment, frame pointer kept, 16
-    registers, result in R0. *)
+
+val default_options : options
+(** -O0-flavoured: linear switches for < 4 cases else jump table, no
+    peephole, no alignment, frame pointer kept, 16 registers, result in
+    R0. *)
 
 exception Error of string
 

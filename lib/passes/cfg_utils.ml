@@ -137,6 +137,60 @@ let natural_loops f =
   in
   List.sort (fun a b -> compare (Iset.cardinal a.body) (Iset.cardinal b.body)) loops
 
+(* Static definition counts: instruction defs, an implicit def at entry
+   for every parameter, and two for any [Loop_branch] counter so it can
+   never look single-definition. *)
+let def_counts f =
+  let t = Hashtbl.create 64 in
+  let bump r n =
+    Hashtbl.replace t r (n + try Hashtbl.find t r with Not_found -> 0)
+  in
+  List.iter (fun p -> bump p 1) f.params;
+  List.iter
+    (fun b ->
+      List.iter
+        (fun i -> match instr_def i with Some d -> bump d 1 | None -> ())
+        b.instrs;
+      match b.term with Loop_branch (r, _, _) -> bump r 2 | _ -> ())
+    f.blocks;
+  t
+
+let loop_defs f l =
+  let defs = Hashtbl.create 32 in
+  List.iter
+    (fun b ->
+      if Iset.mem b.label l.body then begin
+        List.iter
+          (fun i ->
+            match instr_def i with
+            | Some d -> Hashtbl.replace defs d ()
+            | None -> ())
+          b.instrs;
+        (* a [Loop_branch] counter is decremented by the terminator on
+           every iteration — loop-varying even with no instruction def *)
+        match b.term with
+        | Loop_branch (r, _, _) -> Hashtbl.replace defs r ()
+        | _ -> ()
+      end)
+    f.blocks;
+  defs
+
+let insert_preheader f l instrs =
+  let pre_label = fresh_label f in
+  let pre = { label = pre_label; instrs; term = Jmp l.header } in
+  List.iter
+    (fun b ->
+      if not (Iset.mem b.label l.body) then
+        b.term <-
+          map_targets (fun t -> if t = l.header then pre_label else t) b.term)
+    f.blocks;
+  let rec insert = function
+    | [] -> [ pre ]
+    | b :: rest when b.label = l.header -> pre :: b :: rest
+    | b :: rest -> b :: insert rest
+  in
+  f.blocks <- insert f.blocks
+
 let block_order_dfs f =
   let block_table = Hashtbl.create 16 in
   List.iter (fun b -> Hashtbl.replace block_table b.label b) f.blocks;

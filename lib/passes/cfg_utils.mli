@@ -21,6 +21,20 @@ val natural_loops : Vir.Ir.func -> loop list
 (** Natural loops from back edges (target dominates source).  Loops with
     the same header are merged.  Ordered innermost-first (by body size). *)
 
+val def_counts : Vir.Ir.func -> (int, int) Hashtbl.t
+(** Static definition count of each register: its instruction defs, one
+    at entry for a parameter, and two for a [Loop_branch] counter, so
+    that a counter never looks single-definition. *)
+
+val loop_defs : Vir.Ir.func -> loop -> (int, unit) Hashtbl.t
+(** The registers the loop's blocks define, [Loop_branch] counters
+    included (the terminator decrements its counter every iteration). *)
+
+val insert_preheader : Vir.Ir.func -> loop -> Vir.Ir.instr list -> unit
+(** Add a block holding the instructions that jumps to the loop header,
+    retarget every edge into the header from outside the loop body to
+    it, and place it just before the header in layout. *)
+
 val block_order_dfs : Vir.Ir.func -> int list
 (** Reverse-postorder labels from entry — the canonical layout used by the
     block-reordering pass. *)

@@ -142,10 +142,6 @@ type expr_key =
   | Kslot of int
   | Kselect of operand * operand * operand
 
-let commutative = function
-  | Add | Mul | And | Or | Xor | Seq | Sne -> true
-  | Sub | Div | Mod | Shl | Shr | Slt | Sle | Sgt | Sge -> false
-
 let is_local_array f name =
   List.exists (fun (n, _, _) -> n = name) f.local_arrays
 

@@ -25,31 +25,9 @@ type ekey =
   | Kun of unop * operand
   | Ksel of operand * operand * operand
 
-let commutative = function
-  | Add | Mul | And | Or | Xor | Seq | Sne -> true
-  | Sub | Div | Mod | Shl | Shr | Slt | Sle | Sgt | Sge -> false
-
-(* Static definition counts: instruction defs, an implicit def at entry
-   for every parameter, and two for any [Loop_branch] counter so it can
-   never look single-definition. *)
-let def_counts f =
-  let t = Hashtbl.create 64 in
-  let bump r n =
-    Hashtbl.replace t r (n + try Hashtbl.find t r with Not_found -> 0)
-  in
-  List.iter (fun p -> bump p 1) f.params;
-  List.iter
-    (fun b ->
-      List.iter
-        (fun i -> match instr_def i with Some d -> bump d 1 | None -> ())
-        b.instrs;
-      match b.term with Loop_branch (r, _, _) -> bump r 2 | _ -> ())
-    f.blocks;
-  t
-
 let run f =
   let dom = Cfg_utils.dominators f in
-  let counts = def_counts f in
+  let counts = Cfg_utils.def_counts f in
   let single_def r = Hashtbl.find_opt counts r = Some 1 in
   let entry = match f.blocks with b :: _ -> b.label | [] -> -1 in
   (* children in the dominator tree: idom(l) is the strict dominator of l

@@ -249,23 +249,11 @@ let licm f =
         b.instrs)
     f.blocks;
   List.iter
-    (fun { Cfg_utils.header; body; _ } ->
-      let loop_blocks = List.filter (fun b -> Iset.mem b.label body) f.blocks in
-      let defined_in_loop = Hashtbl.create 32 in
-      List.iter
-        (fun b ->
-          List.iter
-            (fun i ->
-              match instr_def i with
-              | Some d -> Hashtbl.replace defined_in_loop d ()
-              | None -> ())
-            b.instrs;
-          (* a [Loop_branch] counter is decremented by the terminator on
-             every iteration — loop-varying even with no instruction def *)
-          match b.term with
-          | Loop_branch (r, _, _) -> Hashtbl.replace defined_in_loop r ()
-          | _ -> ())
-        loop_blocks;
+    (fun (l : Cfg_utils.loop) ->
+      let loop_blocks =
+        List.filter (fun b -> Iset.mem b.label l.body) f.blocks
+      in
+      let defined_in_loop = Cfg_utils.loop_defs f l in
       (* A hoistable instruction: pure computation, defined exactly once
          in the function, every register operand defined outside the loop
          (one round; chains of invariant computations hoist across
@@ -301,26 +289,7 @@ let licm f =
             hoisted := !hoisted @ out
           end)
         loop_blocks;
-      if !hoisted <> [] then begin
-        (* build a preheader: redirect entry edges from outside the loop *)
-        let pre_label = fresh_label f in
-        let pre =
-          { label = pre_label; instrs = !hoisted; term = Jmp header }
-        in
-        List.iter
-          (fun b ->
-            if not (Iset.mem b.label body) then
-              b.term <-
-                map_targets (fun l -> if l = header then pre_label else l) b.term)
-          f.blocks;
-        (* insert the preheader immediately before the header in layout *)
-        let rec insert = function
-          | [] -> [ pre ]
-          | b :: rest when b.label = header -> pre :: b :: rest
-          | b :: rest -> b :: insert rest
-        in
-        f.blocks <- insert f.blocks
-      end)
+      if !hoisted <> [] then Cfg_utils.insert_preheader f l !hoisted)
     loops
 
 (* ------------------------------------------------------------------ *)

@@ -31,55 +31,23 @@ let pure_candidate = function
 
 let run f =
   let hoisted_total = ref 0 in
-  let process { Cfg_utils.header; body; _ } =
+  let process (l : Cfg_utils.loop) =
+    let body = l.body in
     let dom = Cfg_utils.dominators f in
-    let def_count = Hashtbl.create 64 in
-    let def_site = Hashtbl.create 64 in
+    let def_count = Cfg_utils.def_counts f in
     let use_sites = Hashtbl.create 64 in
-    let bump r n =
-      Hashtbl.replace def_count r
-        (n + try Hashtbl.find def_count r with Not_found -> 0)
+    let use r site =
+      Hashtbl.replace use_sites r
+        (site :: (try Hashtbl.find use_sites r with Not_found -> []))
     in
-    List.iter (fun p -> bump p 1) f.params;
     List.iter
       (fun b ->
         List.iteri
-          (fun idx i ->
-            (match instr_def i with
-            | Some d ->
-              bump d 1;
-              Hashtbl.replace def_site d (b.label, idx)
-            | None -> ());
-            List.iter
-              (fun r ->
-                Hashtbl.replace use_sites r
-                  ((b.label, idx)
-                  :: (try Hashtbl.find use_sites r with Not_found -> [])))
-              (instr_uses i))
+          (fun idx i -> List.iter (fun r -> use r (b.label, idx)) (instr_uses i))
           b.instrs;
-        List.iter
-          (fun r ->
-            Hashtbl.replace use_sites r
-              ((b.label, max_int)
-              :: (try Hashtbl.find use_sites r with Not_found -> [])))
-          (term_uses b.term);
-        match b.term with Loop_branch (r, _, _) -> bump r 2 | _ -> ())
+        List.iter (fun r -> use r (b.label, max_int)) (term_uses b.term))
       f.blocks;
-    let defined_in_loop = Hashtbl.create 32 in
-    List.iter
-      (fun b ->
-        if Iset.mem b.label body then begin
-          List.iter
-            (fun i ->
-              match instr_def i with
-              | Some d -> Hashtbl.replace defined_in_loop d ()
-              | None -> ())
-            b.instrs;
-          match b.term with
-          | Loop_branch (r, _, _) -> Hashtbl.replace defined_in_loop r ()
-          | _ -> ()
-        end)
-      f.blocks;
+    let defined_in_loop = Cfg_utils.loop_defs f l in
     let marked = Hashtbl.create 16 in
     let order = ref [] in
     (* every use of [d] must be dominated by its definition site *)
@@ -134,22 +102,7 @@ let run f =
                   | None -> true)
                 b.instrs)
         f.blocks;
-      let pre_label = fresh_label f in
-      let pre =
-        { label = pre_label; instrs = List.rev !order; term = Jmp header }
-      in
-      List.iter
-        (fun b ->
-          if not (Iset.mem b.label body) then
-            b.term <-
-              map_targets (fun l -> if l = header then pre_label else l) b.term)
-        f.blocks;
-      let rec insert = function
-        | [] -> [ pre ]
-        | b :: rest when b.label = header -> pre :: b :: rest
-        | b :: rest -> b :: insert rest
-      in
-      f.blocks <- insert f.blocks;
+      Cfg_utils.insert_preheader f l (List.rev !order);
       hoisted_total := !hoisted_total + Hashtbl.length marked
     end
   in

@@ -68,13 +68,11 @@ let transform f =
         let t =
           match t with
           | Br (Imm c, a, b') -> Jmp (if c <> 0 then a else b')
-          | Br (Reg r, a, b') -> (
+          | Br (Reg r, a, _) -> (
             (* sign-definite condition: nonzero picks the true arm *)
             match interval_env () with
-            | Some ienv ->
-              let itv = IV.lookup ienv r in
-              if itv.IV.lo > 0 || itv.IV.hi < 0 then Jmp a else Br (Reg r, a, b')
-            | None -> t)
+            | Some ienv when IV.truth (IV.lookup ienv r) = Some true -> Jmp a
+            | Some _ | None -> t)
           | Switch (Imm v, cases, d) ->
             Jmp (try List.assoc v cases with Not_found -> d)
           | Switch (Reg r, cases, d) -> (

@@ -2,11 +2,6 @@
    profile maps to a mutation of this record.  [Pipeline.compile] reads it
    to decide which passes run, in which shape. *)
 
-type switch_strategy = Codegen.Emit.switch_strategy =
-  | Jump_table
-  | Binary_search
-  | Linear
-
 type t = {
   (* inter-procedural / AST passes *)
   inline_small : bool;  (** inline callees below the small threshold *)
@@ -43,17 +38,7 @@ type t = {
   reorder_blocks : bool;
   partition : bool;
   reorder_functions : bool;
-  (* code generation *)
-  switch_strategy : switch_strategy;
-  jump_table_min : int;
-  peephole : bool;
-  align_functions : bool;
-  align_loops : bool;
-  omit_frame_pointer : bool;
-  stack_realign : bool;
-  long_calls : bool;
-  allocatable_regs : int;
-  return_reg : int;
+  codegen : Codegen.Emit.options;
 }
 
 (* -O0: nothing at all.  Note even [baseline] is off: locals stay in
@@ -93,28 +78,5 @@ let o0 =
     reorder_blocks = false;
     partition = false;
     reorder_functions = false;
-    switch_strategy = Linear;
-    jump_table_min = 4;
-    peephole = false;
-    align_functions = false;
-    align_loops = false;
-    omit_frame_pointer = false;
-    stack_realign = false;
-    long_calls = false;
-    allocatable_regs = 16;
-    return_reg = 0;
-  }
-
-let codegen_options (c : t) : Codegen.Emit.options =
-  {
-    Codegen.Emit.switch_strategy = c.switch_strategy;
-    jump_table_min = c.jump_table_min;
-    peephole = c.peephole;
-    align_functions = c.align_functions;
-    align_loops = c.align_loops;
-    omit_frame_pointer = c.omit_frame_pointer;
-    stack_realign = c.stack_realign;
-    long_calls = c.long_calls;
-    allocatable_regs = c.allocatable_regs;
-    return_reg = c.return_reg;
+    codegen = { Codegen.Emit.default_options with switch_strategy = Linear };
   }

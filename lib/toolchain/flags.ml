@@ -93,27 +93,34 @@ let fx_partition c = { c with partition = true }
 
 let fx_reorder_funcs c = { c with reorder_functions = true }
 
-let fx_jump_tables c = { c with switch_strategy = Jump_table }
+(* code generation flags update the [Codegen.Emit.options] the config
+   carries *)
+let fx_codegen f c = { c with codegen = f c.codegen }
+
+let fx_jump_tables =
+  fx_codegen (fun o -> { o with Codegen.Emit.switch_strategy = Jump_table })
 
 let fx_peephole _name c = c  (* gate flag: effect comes via fpeephole2 *)
 
-let fx_peephole2 c = { c with peephole = true }
+let fx_peephole2 = fx_codegen (fun o -> { o with peephole = true })
 
-let fx_align_funcs c = { c with align_functions = true }
+let fx_align_funcs = fx_codegen (fun o -> { o with align_functions = true })
 
-let fx_align_loops c = { c with align_loops = true }
+let fx_align_loops = fx_codegen (fun o -> { o with align_loops = true })
 
-let fx_omit_fp c = { c with omit_frame_pointer = true }
+let fx_omit_fp = fx_codegen (fun o -> { o with omit_frame_pointer = true })
 
-let fx_realign c = { c with stack_realign = true }
+let fx_realign = fx_codegen (fun o -> { o with stack_realign = true })
 
-let fx_long_call c = { c with long_calls = true }
+let fx_long_call = fx_codegen (fun o -> { o with long_calls = true })
 
-let fx_pcc_ret c = { c with return_reg = 5 }
+let fx_pcc_ret = fx_codegen (fun o -> { o with return_reg = 5 })
 
-let fx_reg_ret c = { c with return_reg = 0 }
+let fx_reg_ret = fx_codegen (fun o -> { o with return_reg = 0 })
 
-let fx_call_used c = { c with allocatable_regs = max 6 (c.allocatable_regs - 1) }
+let fx_call_used =
+  fx_codegen (fun o ->
+      { o with allocatable_regs = max 6 (o.allocatable_regs - 1) })
 
 (* ------------------------------------------------------------------ *)
 (* GCC 10.2 profile                                                    *)
@@ -396,7 +403,13 @@ let resolve p vector =
     invalid_arg "Flags.resolve: vector length mismatch";
   (* any explicit flag vector compiles with the -O1 core on: register
      promotion cannot be disabled in a real compiler either *)
-  let base = { Config.o0 with baseline = true; switch_strategy = Binary_search } in
+  let base =
+    {
+      Config.o0 with
+      baseline = true;
+      codegen = { Config.o0.codegen with switch_strategy = Binary_search };
+    }
+  in
   let cfg = ref base in
   Array.iteri (fun i on -> if on then cfg := p.flags.(i).apply !cfg) vector;
   !cfg

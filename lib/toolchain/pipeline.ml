@@ -293,7 +293,7 @@ let apply_passes (cfg : Config.t) (ast : Minic.Ast.program) : Vir.Ir.program =
   run_plan ~verify ~where ~seed:"" (plan ~verify ~where cfg) ast
 
 let codegen_options_digest config =
-  Digest.string (Marshal.to_string (Config.codegen_options config) [])
+  Digest.string (Marshal.to_string config.Config.codegen [])
 
 let compile ~config ~flag_desc ?snapshot ?boundaries ~arch ~profile ~opt_label
     ast =
@@ -316,7 +316,7 @@ let compile ~config ~flag_desc ?snapshot ?boundaries ~arch ~profile ~opt_label
         let ir = run_plan ~verify ~where ?snapshot ~seed steps ast in
         Telemetry.with_span "pass.codegen" (fun () ->
             Codegen.Emit.compile_program
-              ~options:(Config.codegen_options config)
+              ~options:config.Config.codegen
               ?boundaries ~arch ~profile ~opt_label ir)
       in
       match snapshot with

@@ -304,6 +304,10 @@ let eval_binop op a b =
   | Seq -> if a = b then 1 else 0
   | Sne -> if a <> b then 1 else 0
 
+let commutative = function
+  | Add | Mul | And | Or | Xor | Seq | Sne -> true
+  | Sub | Div | Mod | Shl | Shr | Slt | Sle | Sgt | Sge -> false
+
 let eval_unop op a = match op with Neg -> -a | Not -> lnot a
 
 (* ------------------------------------------------------------------ *)

@@ -337,6 +337,57 @@ let test_interval_loop_widening () =
       (c.DF.Interval.lo >= 0 && c.DF.Interval.hi <= 1)
   | DF.Interval.Unreached -> Alcotest.fail "exit unreached"
 
+(* The two value domains cross-checked: wherever [Constprop] proves a
+   register constant — at block entry, after each instruction and at
+   block exit — the [Interval] fact at the same point contains that
+   constant.  A register neither environment binds holds 0 in both. *)
+let values_agree (f : func) =
+  let module CP = DF.Constprop in
+  let module IV = DF.Interval in
+  let contains cenv ienv r =
+    match CP.lookup cenv r with
+    | CP.Const c ->
+      let v = IV.lookup ienv r in
+      v.IV.lo <= c && c <= v.IV.hi
+    | CP.Top -> true
+  in
+  let agree cp iv =
+    match (cp, iv) with
+    | CP.Unreached, _ -> true
+    | CP.Env _, IV.Unreached -> false
+    | CP.Env cenv, IV.Env ienv ->
+      DF.Imap.for_all (fun r _ -> contains cenv ienv r) cenv
+      && DF.Imap.for_all (fun r _ -> contains cenv ienv r) ienv
+  in
+  let cp_in, cp_out = CP.solve f in
+  let iv_in, iv_out = IV.solve f in
+  List.for_all
+    (fun b ->
+      let fact tbl = Hashtbl.find tbl b.label in
+      (* an instruction changes only the register it defines *)
+      let rec walk cenv ienv = function
+        | [] -> true
+        | i :: rest ->
+          let cenv = CP.eval_instr cenv i and ienv = IV.eval_instr ienv i in
+          (match instr_def i with
+          | Some d -> contains cenv ienv d
+          | None -> true)
+          && walk cenv ienv rest
+      in
+      agree (fact cp_in) (fact iv_in)
+      && agree (fact cp_out) (fact iv_out)
+      &&
+      match (fact cp_in, fact iv_in) with
+      | CP.Env cenv, IV.Env ienv -> walk cenv ienv b.instrs
+      | _ -> true)
+    f.blocks
+
+let prop_values_agree_fuzzed =
+  QCheck.Test.make
+    ~name:"constprop constants lie in interval facts (fuzzed programs)"
+    ~count:20 QCheck.small_nat (fun seed ->
+      List.for_all values_agree (funcs_of_fuzz (seed + 900)))
+
 let test_reaching_defs_diamond () =
   let f =
     mkfunc ~params:[ 0 ] ~nregs:2
@@ -600,6 +651,7 @@ let tests =
     QCheck_alcotest.to_alcotest prop_dominators_frozen_random;
     QCheck_alcotest.to_alcotest prop_liveness_frozen_fuzzed;
     QCheck_alcotest.to_alcotest prop_wide_frozen;
+    QCheck_alcotest.to_alcotest prop_values_agree_fuzzed;
     Alcotest.test_case "liveness work counters" `Quick test_liveness_counters;
     Alcotest.test_case "constprop diamond" `Quick test_constprop_diamond;
     Alcotest.test_case "constprop conflicting join" `Quick

@@ -23,6 +23,7 @@ let () =
       ("incremental", Frozen_incremental.tests);
       ("frozen-passes", Frozen_passes.tests);
       ("frozen-loops", Frozen_loops.tests);
+      ("frozen-values", Frozen_values.tests);
       ("frozen-cfg", Frozen_cfg.tests);
       ("flags", Test_flags.tests);
       ("vm", Test_vm.tests);

@@ -81,7 +81,7 @@ let test_obfuscation_hurts_binhunt () =
   Obf.Ollvm.apply_all ~seed:9 obf_ir;
   let compile ir =
     Codegen.Emit.compile_program
-      ~options:(Toolchain.Config.codegen_options cfg)
+      ~options:cfg.Toolchain.Config.codegen
       ~arch:Isa.Insn.X86_64 ~profile:"llvm-11.0" ~opt_label:"t" ir
   in
   let plain = compile plain_ir and obf = compile obf_ir in

@@ -140,6 +140,20 @@ let test_store_unmarshalable_binary_quarantined () =
         (Bintuner.Store.find_binary st "bogus" = None);
       Alcotest.(check int) "and quarantines" 1 (Bintuner.Store.quarantined st))
 
+let test_store_undecodable_size_quarantined () =
+  with_temp_dir (fun dir ->
+      let st = Bintuner.Store.create dir in
+      (* digest-valid, but not an integer: without the quarantine it
+         would stay resident, and keep-first would refuse the recomputed
+         size forever *)
+      Bintuner.Store.store st "size-key" "twelve";
+      Alcotest.(check (option int)) "find_size misses" None
+        (Bintuner.Store.find_size st "size-key");
+      Alcotest.(check int) "and quarantines" 1 (Bintuner.Store.quarantined st);
+      Bintuner.Store.store_size st "size-key" 12;
+      Alcotest.(check (option int)) "the recomputed size is served" (Some 12)
+        (Bintuner.Store.find_size st "size-key"))
+
 let test_store_reopen_mtime_seeds_lru () =
   with_temp_dir (fun dir ->
       let st = Bintuner.Store.create dir in
@@ -167,6 +181,8 @@ let tests =
       test_store_torn_entry_quarantined;
     Alcotest.test_case "store unmarshalable binary" `Quick
       test_store_unmarshalable_binary_quarantined;
+    Alcotest.test_case "store undecodable size" `Quick
+      test_store_undecodable_size_quarantined;
     Alcotest.test_case "store reopen mtime lru" `Quick
       test_store_reopen_mtime_seeds_lru;
   ]

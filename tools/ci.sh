@@ -72,6 +72,12 @@
 #      that is byte-identical at -j 1 and -j 2, and the `pareto`
 #      experiment must emit a parseable BENCH_pareto.json (non-dominated
 #      fronts, per-axis memo traffic).
+#  13. work-count gate — tools/work_counts.sh re-runs four one-shot CLI
+#      tunes (605.mcf_s and 473.astar, gcc, hill and ga, budget 44, -j 1,
+#      --trace) and every final telemetry count (memo and prefix-store
+#      traffic, liveness solves, worklist-engine visits, VM steps,
+#      decoded instructions, ...) must equal BENCH_work.json exactly.
+#      At -j 1 the counts are deterministic work, unlike wall time.
 #
 # The bench driver reads no on-disk state, so step 4's greedy sentinel
 # runs once: the daemon writes only to its scratch store and cannot
@@ -357,5 +363,9 @@ for r in d["runs"]:
     assert r["objective_memo_misses"] >= 1, r
 ' "$mo_dir/BENCH_pareto.json" \
   || { echo "ci: FAIL — BENCH_pareto.json failed validation" >&2; exit 1; }
+
+echo "== ci: work-count gate (BENCH_work.json) =="
+tools/work_counts.sh --check \
+  || { echo "ci: FAIL — work counts differ from BENCH_work.json" >&2; exit 1; }
 
 echo "ci: OK (sentinel $sentinel_j1, greedy oracle stable, $memo_hits memo hits, ncd cache hits $ncd_hits, all strategies within budget, pareto front $front_points points, $(wc -l < "$trace_file") trace events)"
