@@ -169,59 +169,11 @@ end
 (* Adaptive order-0 model                                              *)
 (* ------------------------------------------------------------------ *)
 
-module Model = struct
-  type t = {
-    freq : int array;
-    mutable total : int;
-    increment : int;
-    limit : int;
-  }
-
-  let create n = { freq = Array.make n 1; total = n; increment = 24; limit = bot - 256 }
-
-  let rescale t =
-    t.total <- 0;
-    for i = 0 to Array.length t.freq - 1 do
-      t.freq.(i) <- (t.freq.(i) + 1) / 2;
-      t.total <- t.total + t.freq.(i)
-    done
-
-  let update t s =
-    t.freq.(s) <- t.freq.(s) + t.increment;
-    t.total <- t.total + t.increment;
-    if t.total > t.limit then rescale t
-
-  let cum_of t s =
-    let c = ref 0 in
-    for i = 0 to s - 1 do
-      c := !c + t.freq.(i)
-    done;
-    !c
-
-  let encode t enc s =
-    Encoder.encode enc ~cum:(cum_of t s) ~freq:t.freq.(s) ~total:t.total;
-    update t s
-
-  let decode t dec =
-    let f = Decoder.decode_freq dec ~total:t.total in
-    let s = ref 0 and c = ref 0 in
-    while !c + t.freq.(!s) <= f do
-      c := !c + t.freq.(!s);
-      incr s
-    done;
-    Decoder.decode_update dec ~cum:!c ~freq:t.freq.(!s);
-    update t !s;
-    !s
-end
-
-(* A drop-in replacement for [Model] on the encode side that keeps the
-   exact same adaptive statistics (same initial counts, increment,
-   rescale rounding, totals — so it emits the same bytes for the same
-   symbol sequence and the shared decoder stays in sync) but maintains a
-   Fenwick tree over the frequencies: the cumulative count a symbol
-   encode needs drops from an O(n) scan to O(log n).  The [Greedy] path
-   deliberately does not use it — that path is the frozen pre-overhaul
-   compressor, oracle for both bytes and baseline throughput. *)
+(* Adaptive symbol frequencies (all start at 1, +24 per coded symbol,
+   halved with round-up once the total passes [bot - 256]) kept in a
+   Fenwick tree, so the cumulative count an encode needs and the symbol
+   search a decode needs are both O(log n).  Encoder and decoder run the
+   same [update], which keeps them in sync. *)
 module Fmodel = struct
   type t = {
     freq : int array;
@@ -287,6 +239,30 @@ module Fmodel = struct
   let encode t enc s =
     Encoder.encode enc ~cum:(cum_of t s) ~freq:t.freq.(s) ~total:t.total;
     update t s
+
+  (* Binary lifting down the tree: [pos] ends as the number of symbols
+     whose cumulative range lies wholly at or below [f], which is the
+     symbol whose range holds [f] (every frequency is at least 1). *)
+  let decode t dec =
+    let f = Decoder.decode_freq dec ~total:t.total in
+    let n = Array.length t.freq in
+    let pos = ref 0 and rem = ref f in
+    let step = ref 1 in
+    while 2 * !step <= n do
+      step := 2 * !step
+    done;
+    while !step > 0 do
+      let j = !pos + !step in
+      if j <= n && t.tree.(j) <= !rem then begin
+        pos := j;
+        rem := !rem - t.tree.(j)
+      end;
+      step := !step / 2
+    done;
+    let s = !pos in
+    Decoder.decode_update dec ~cum:(f - !rem) ~freq:t.freq.(s);
+    update t s;
+    s
 end
 
 (* Raw bits through the coder with a uniform model. *)
@@ -318,83 +294,12 @@ let max_match = 255 + min_match
 
 let hash_bits = 15
 
-(* Both finders read their input through a two-segment view — [s1]
-   followed by [s2] — so the NCD concatenation term C(x·y) never has to
-   materialize [x ^ y].  The single-string entry points pass [s2 = ""]. *)
-let seg_get s1 n1 s2 i =
-  if i < n1 then String.unsafe_get s1 i else String.unsafe_get s2 (i - n1)
-
 let hash_of a b c = ((a lsl 10) lxor (b lsl 5) lxor c) land ((1 lsl hash_bits) - 1)
-
-type token =
-  | Literal of char
-  | Match of int * int  (** length, distance *)
-
-(* The original finder, frozen: a 64-candidate chain walk with no early
-   exit, no prefilter, and immediate (greedy) emission.  Its token
-   decisions — and therefore its output bytes — are the pre-overhaul
-   behaviour the differential tests and the table1 [Greedy] sentinel pin
-   down.  Do not "optimize" this path; that is what [Chained] is for. *)
-let tokenize_greedy s1 s2 =
-  let n1 = String.length s1 in
-  let n = n1 + String.length s2 in
-  let get i = seg_get s1 n1 s2 i in
-  let head = Array.make (1 lsl hash_bits) (-1) in
-  let prev = Array.make (max n 1) (-1) in
-  let tokens = ref [] in
-  let hash i = hash_of (Char.code (get i)) (Char.code (get (i + 1))) (Char.code (get (i + 2))) in
-  let match_len i j =
-    let lim = min max_match (n - i) in
-    let rec go k = if k < lim && get (i + k) = get (j + k) then go (k + 1) else k in
-    go 0
-  in
-  let insert i =
-    if i + min_match <= n then begin
-      let h = hash i in
-      prev.(i) <- head.(h);
-      head.(h) <- i
-    end
-  in
-  let i = ref 0 in
-  while !i < n do
-    let best_len = ref 0 and best_dist = ref 0 in
-    if !i + min_match <= n then begin
-      let h = hash !i in
-      let cand = ref head.(h) and chain = ref 0 in
-      while !cand >= 0 && !chain < 64 do
-        let d = !i - !cand in
-        if d > 0 && d <= window_size then begin
-          let l = match_len !i !cand in
-          if l > !best_len then begin
-            best_len := l;
-            best_dist := d
-          end
-        end;
-        cand := prev.(!cand);
-        incr chain
-      done
-    end;
-    if !best_len >= min_match then begin
-      tokens := Match (!best_len, !best_dist) :: !tokens;
-      let stop = !i + !best_len in
-      (* Index the covered positions so later matches can reference them. *)
-      while !i < stop do
-        insert !i;
-        incr i
-      done
-    end
-    else begin
-      tokens := Literal (get !i) :: !tokens;
-      insert !i;
-      incr i
-    end
-  done;
-  List.rev !tokens
 
 (* A match this long is good enough to stop the chain walk outright. *)
 let nice_match = 160
 
-(* Per-domain scratch for the chained finder.  The head table is 2^15
+(* Per-domain scratch shared by both finders.  The head table is 2^15
    entries — zeroing it on every call costs more than compressing a
    small stream, so entries are generation-stamped instead: a slot holds
    [base + position], and anything below the current [base] is stale.
@@ -427,10 +332,16 @@ let get_workspace n =
   end;
   ws
 
-(* The two-segment view for the chained finder: x·y lands in the reused
-   per-domain scratch (a blit, ~0.1% of the compression cost) so the
-   tokenizer's inner loops run on one flat string with unsafe reads, and
-   no per-call concatenation garbage is ever allocated. *)
+(* Reserve [n] stamps for one call: positions are stamped [base + pos]. *)
+let claim ws n =
+  let base = ws.base in
+  ws.base <- base + n;
+  base
+
+(* Both finders read x·y as one flat string: the pair lands in the
+   reused per-domain scratch (a blit, ~0.1% of the compression cost), so
+   the tokenizers' inner loops run with unsafe reads and the NCD term
+   C(x·y) allocates no [x ^ y].  A lone string is read in place. *)
 let pair_view ws x y =
   let nx = String.length x and ny = String.length y in
   if ny = 0 then x
@@ -444,14 +355,68 @@ let pair_view ws x y =
     Bytes.unsafe_to_string ws.scratch
   end
 
+(* The original finder, frozen: a 64-candidate chain walk with no early
+   exit, no prefilter, and immediate (greedy) emission.  Its token
+   decisions — and therefore its output bytes — are the pre-overhaul
+   behaviour the differential tests and the table1 [Greedy] sentinel pin
+   down.  Do not "optimize" this path; that is what [Chained] is for. *)
+let tokenize_greedy ws s n ~emit_literal ~emit_match =
+  let head = ws.head and prev = ws.prev and base = claim ws n in
+  let get i = String.unsafe_get s i in
+  let hash i = hash_of (Char.code (get i)) (Char.code (get (i + 1))) (Char.code (get (i + 2))) in
+  let match_len i j =
+    let lim = min max_match (n - i) in
+    let rec go k = if k < lim && get (i + k) = get (j + k) then go (k + 1) else k in
+    go 0
+  in
+  let insert i =
+    if i + min_match <= n then begin
+      let h = hash i in
+      prev.(i) <- head.(h);
+      head.(h) <- base + i
+    end
+  in
+  let i = ref 0 in
+  while !i < n do
+    let best_len = ref 0 and best_dist = ref 0 in
+    if !i + min_match <= n then begin
+      let cand = ref head.(hash !i) and chain = ref 0 in
+      while !cand >= base && !chain < 64 do
+        let c = !cand - base in
+        let d = !i - c in
+        if d > 0 && d <= window_size then begin
+          let l = match_len !i c in
+          if l > !best_len then begin
+            best_len := l;
+            best_dist := d
+          end
+        end;
+        cand := prev.(c);
+        incr chain
+      done
+    end;
+    if !best_len >= min_match then begin
+      emit_match !best_len !best_dist;
+      let stop = !i + !best_len in
+      (* Index the covered positions so later matches can reference them. *)
+      while !i < stop do
+        insert !i;
+        incr i
+      done
+    end
+    else begin
+      emit_literal (get !i);
+      insert !i;
+      incr i
+    end
+  done
+
 (* The hash-chain finder: depth-bounded walk, one-byte prefilter at the
    current best length, early exit on nice/maximal matches, and lazy
    one-step-deferred emission.  Tokens stream straight into [emit] — no
    intermediate list. *)
-let tokenize_chained ~depth s n ~emit_literal ~emit_match =
-  let ws = get_workspace n in
-  let head = ws.head and prev = ws.prev and base = ws.base in
-  ws.base <- base + n;
+let tokenize_chained ~depth ws s n ~emit_literal ~emit_match =
+  let head = ws.head and prev = ws.prev and base = claim ws n in
   (* [n <= String.length s] but may be smaller when [s] is the scratch
      view, so every read below is bounded by [n], never [String.length]. *)
   let get i = String.unsafe_get s i in
@@ -553,48 +518,31 @@ let dist_bucket d =
   let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
   log2 d 0
 
+(* Both finders stream their tokens into this one emitter. *)
 let compress_segments level s1 s2 =
+  let n = String.length s1 + String.length s2 in
+  Telemetry.add_count ~by:n "lz.bytes_in";
   let enc = Encoder.create () in
-  let coded =
-    match level with
-    | Greedy ->
-      (* frozen pre-overhaul path: list tokenizer + linear-scan models *)
-      let main = Model.create 257 in
-      let len_model = Model.create (max_match - min_match + 1) in
-      let dist_model = Model.create 16 in
-      let emit = function
-        | Literal c -> Model.encode main enc (Char.code c)
-        | Match (len, dist) ->
-          Model.encode main enc match_marker;
-          Model.encode len_model enc (len - min_match);
-          let bucket = dist_bucket dist in
-          Model.encode dist_model enc bucket;
-          if bucket > 0 then encode_bits enc (dist - (1 lsl bucket)) bucket
-      in
-      List.iter emit (tokenize_greedy s1 s2);
-      Encoder.finish enc
-    | Chained depth ->
-      let main = Fmodel.create 257 in
-      let len_model = Fmodel.create (max_match - min_match + 1) in
-      let dist_model = Fmodel.create 16 in
-      let emit_literal c = Fmodel.encode main enc (Char.code c) in
-      let emit_match len dist =
-        Fmodel.encode main enc match_marker;
-        Fmodel.encode len_model enc (len - min_match);
-        let bucket = dist_bucket dist in
-        Fmodel.encode dist_model enc bucket;
-        if bucket > 0 then encode_bits enc (dist - (1 lsl bucket)) bucket
-      in
-      let n = String.length s1 + String.length s2 in
-      let s =
-        if String.length s2 = 0 then s1
-        else pair_view (Domain.DLS.get workspace_key) s1 s2
-      in
-      tokenize_chained ~depth:(max 1 depth) s n ~emit_literal ~emit_match;
-      Encoder.finish enc
+  let main = Fmodel.create 257 in
+  let len_model = Fmodel.create (max_match - min_match + 1) in
+  let dist_model = Fmodel.create 16 in
+  let emit_literal c = Fmodel.encode main enc (Char.code c) in
+  let emit_match len dist =
+    Fmodel.encode main enc match_marker;
+    Fmodel.encode len_model enc (len - min_match);
+    let bucket = dist_bucket dist in
+    Fmodel.encode dist_model enc bucket;
+    if bucket > 0 then encode_bits enc (dist - (1 lsl bucket)) bucket
   in
+  let ws = get_workspace n in
+  let s = pair_view ws s1 s2 in
+  (match level with
+  | Greedy -> tokenize_greedy ws s n ~emit_literal ~emit_match
+  | Chained depth ->
+    tokenize_chained ~depth:(max 1 depth) ws s n ~emit_literal ~emit_match);
+  let coded = Encoder.finish enc in
   let out = Buffer.create (String.length coded + header_size) in
-  put_u32 out (String.length s1 + String.length s2);
+  put_u32 out n;
   Buffer.add_string out coded;
   Buffer.contents out
 
@@ -607,16 +555,16 @@ let decompress packed =
     invalid_arg "Lz.decompress: truncated input";
   let n = get_u32 packed 0 in
   let dec = Decoder.create packed header_size in
-  let main = Model.create 257 in
-  let len_model = Model.create (max_match - min_match + 1) in
-  let dist_model = Model.create 16 in
+  let main = Fmodel.create 257 in
+  let len_model = Fmodel.create (max_match - min_match + 1) in
+  let dist_model = Fmodel.create 16 in
   let out = Buffer.create n in
   while Buffer.length out < n do
-    let s = Model.decode main dec in
+    let s = Fmodel.decode main dec in
     if s < match_marker then Buffer.add_char out (Char.chr s)
     else begin
-      let len = Model.decode len_model dec + min_match in
-      let bucket = Model.decode dist_model dec in
+      let len = Fmodel.decode len_model dec + min_match in
+      let bucket = Fmodel.decode dist_model dec in
       let dist =
         if bucket = 0 then 1 else (1 lsl bucket) + decode_bits dec bucket
       in

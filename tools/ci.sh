@@ -16,8 +16,9 @@
 #      parseable ndjson covering the span vocabulary (compile, pass.*,
 #      search.ga.generation, pool.chunk, tuner.binhunt, tuner.check) and
 #      the deterministic work counters of the VM (vm.steps), of the
-#      liveness kernel (dataflow.liveness.solves) and of the linear sweep
-#      that decodes code (isa.sweep.insns), and a -profile
+#      liveness kernel (dataflow.liveness.solves), of the linear sweep
+#      that decodes code (isa.sweep.insns) and of the LZ coder's input
+#      (lz.bytes_in), and a -profile
 #      cost split, while the default (telemetry-off) path emits nothing
 #      and reproduces the same sentinel; the fig5 NCD batch must report
 #      size-cache hits;
@@ -158,7 +159,8 @@ for line in open(sys.argv[1]):
 for span in '"name":"compile"' '"name":"pass.' '"name":"search.ga.generation"' \
             '"name":"pool.chunk"' '"name":"tuner.ncd"' '"name":"tuner.binhunt"' \
             '"name":"tuner.check"' '"name":"vm.steps"' \
-            '"name":"dataflow.liveness.solves"' '"name":"isa.sweep.insns"'; do
+            '"name":"dataflow.liveness.solves"' '"name":"isa.sweep.insns"' \
+            '"name":"lz.bytes_in"'; do
   grep -q "$span" "$trace_file" \
     || { echo "ci: FAIL — trace missing expected span $span" >&2; exit 1; }
 done
