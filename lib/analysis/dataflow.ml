@@ -617,48 +617,52 @@ end
 
 (* Integer intervals, widened after [widen_delay] visits of a block. *)
 module Interval = struct
-  (* [min_int]/[max_int] double as -∞/+∞; every arithmetic helper
-     saturates, so a bound that would overflow becomes infinite rather
-     than wrapping. *)
+  (* [min_int]/[max_int] double as -∞/+∞, and an infinite bound stays
+     infinite.  Concrete arithmetic wraps, so a finite bound that would
+     overflow bounds nothing: the whole operation's result is [top]. *)
   type itv = { lo : int; hi : int }
 
   let top = { lo = min_int; hi = max_int }
   let const n = { lo = n; hi = n }
-  let is_top v = v.lo = min_int && v.hi = max_int
+  let is_inf a = a = min_int || a = max_int
+
+  exception Overflow
 
   let sat_add a b =
     if a = min_int || b = min_int then min_int
     else if a = max_int || b = max_int then max_int
     else
       let s = a + b in
-      if a > 0 && b > 0 && s < 0 then max_int
-      else if a < 0 && b < 0 && s >= 0 then min_int
+      if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) then
+        raise_notrace Overflow
       else s
 
   let sat_neg a = if a = min_int then max_int else if a = max_int then min_int else -a
 
-  (* products only on comfortably small finite bounds; anything else is ∞ *)
+  (* products only on small finite bounds; an infinite one gives ∞ by
+     sign *)
   let sat_mul a b =
     let big = 1 lsl 30 in
-    if abs a >= big || abs b >= big then
+    if is_inf a || is_inf b then
       if (a > 0 && b > 0) || (a < 0 && b < 0) then max_int else min_int
+    else if abs a >= big || abs b >= big then raise_notrace Overflow
     else a * b
 
-  let add x y = { lo = sat_add x.lo y.lo; hi = sat_add x.hi y.hi }
+  let add x y =
+    try { lo = sat_add x.lo y.lo; hi = sat_add x.hi y.hi }
+    with Overflow -> top
+
   let neg x = { lo = sat_neg x.hi; hi = sat_neg x.lo }
   let sub x y = add x (neg y)
 
   let mul x y =
-    if is_top x || is_top y then top
-    else
-      let cands =
-        [ sat_mul x.lo y.lo; sat_mul x.lo y.hi; sat_mul x.hi y.lo;
-          sat_mul x.hi y.hi ]
-      in
-      {
-        lo = List.fold_left min max_int cands;
-        hi = List.fold_left max min_int cands;
-      }
+    match
+      [ sat_mul x.lo y.lo; sat_mul x.lo y.hi; sat_mul x.hi y.lo;
+        sat_mul x.hi y.hi ]
+    with
+    | cands ->
+      { lo = List.fold_left min max_int cands; hi = List.fold_left max min_int cands }
+    | exception Overflow -> top
 
   let hull x y = { lo = min x.lo y.lo; hi = max x.hi y.hi }
 

@@ -478,6 +478,38 @@ let test_pass_counters_fire () =
       Alcotest.(check bool) (c ^ " fired") true (Telemetry.counter_value t c > 0))
     [ "pass.sccp.folds"; "pass.sccp.pruned_edges"; "pass.gvn.replaced" ]
 
+(* Interval bounds past 2^30 used to saturate to ±∞ by sign, so [x * x]
+   with x in [2^32, 2^33] read as [max_int, max_int] although every
+   concrete product wraps to 0, and SCCP turned the branch on it into a
+   jump.  O2 plus each profile's SCCP flag must print what O0 prints. *)
+let test_sccp_interval_overflow () =
+  let prog =
+    Minic.Sema.analyze
+      {|int main() {
+          int x = 4294967296;
+          if (input(0)) x = 8589934592;
+          int y = x * x;
+          if (y) print_int(1); else print_int(2);
+          return 0;
+        }|}
+  in
+  let run bin input =
+    Vir.Interp.output_to_string (Vm.Machine.run bin ~input).Vm.Machine.output
+  in
+  List.iter
+    (fun (profile, flag) ->
+      let o0 = Toolchain.Pipeline.compile_preset profile "O0" prog in
+      let v = Array.copy (Option.get (Toolchain.Flags.preset profile "O2")) in
+      v.(Toolchain.Flags.flag_index profile flag) <- true;
+      let opt = Toolchain.Pipeline.compile_flags profile v prog in
+      List.iter
+        (fun input ->
+          Alcotest.(check string)
+            (Printf.sprintf "O2+%s input %d" flag input.(0))
+            (run o0 input) (run opt input))
+        [ [| 0 |]; [| 1 |] ])
+    [ (Toolchain.Flags.gcc, "-ftree-ccp"); (Toolchain.Flags.llvm, "-fsccp") ]
+
 let tests =
   List.concat
     [
@@ -520,5 +552,7 @@ let tests =
           test_licm_loop_branch_counter_is_variant;
         Alcotest.test_case "pass telemetry counters fire" `Quick
           test_pass_counters_fire;
+        Alcotest.test_case "sccp interval overflow wraps" `Quick
+          test_sccp_interval_overflow;
       ];
     ]
