@@ -1006,11 +1006,9 @@ let compile_program ?(options = default_options) ?boundaries ~arch ~profile
         if opts.peephole then List.map peephole_item items else items
       in
       (* function start alignment *)
-      let nop_len = Isa.Codec.encoded_length arch Inop in
       let align_to = if opts.align_functions then 16 else word in
       while Buffer.length text mod align_to <> 0 do
-        Buffer.add_string text (Isa.Codec.encode arch Inop);
-        ignore nop_len
+        Buffer.add_string text (Isa.Codec.encode arch Inop)
       done;
       let base = Buffer.length text in
       let offs = ref [] in

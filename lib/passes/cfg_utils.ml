@@ -68,8 +68,7 @@ let idoms (bl : Analysis.Dataflow.blocks) =
   (order, rank, idom, preds)
 
 (* The table has entries for reachable blocks only, inserted in layout
-   order ([Gvn] iterates it, so that order reaches its output), and
-   every set holds only reachable labels. *)
+   order, and every set holds only reachable labels. *)
 let dominators f =
   let bl = Analysis.Dataflow.index_blocks f in
   let order, rank, idom, _ = idoms bl in
@@ -84,6 +83,21 @@ let dominators f =
     (fun p b -> if rank.(p) >= 0 then Hashtbl.replace dom b.label sets.(p))
     bl.block;
   dom
+
+let dom_children f =
+  let bl = Analysis.Dataflow.index_blocks f in
+  let order, _, idom, _ = idoms bl in
+  let children = Hashtbl.create 16 in
+  Array.iteri
+    (fun k p ->
+      if k > 0 then begin
+        let parent = bl.block.(idom.(p)).label in
+        let cur = try Hashtbl.find children parent with Not_found -> [] in
+        Hashtbl.replace children parent (bl.block.(p).label :: cur)
+      end)
+    order;
+  fun l ->
+    List.sort compare (try Hashtbl.find children l with Not_found -> [])
 
 type loop = {
   header : int;

@@ -11,6 +11,10 @@ val dominators : Vir.Ir.func -> (int, Iset.t) Hashtbl.t
     dominators over blocks indexed by layout position; the table is
     filled in layout order. *)
 
+val dom_children : Vir.Ir.func -> int -> int list
+(** [dom_children f l] lists the reachable labels whose immediate
+    dominator is [l], in increasing label order. *)
+
 type loop = {
   header : int;
   body : Iset.t;  (** all labels in the natural loop, including header *)

@@ -1,5 +1,4 @@
 open Vir.Ir
-module Iset = Analysis.Dataflow.Iset
 
 (* Global value numbering over the dominator tree.
 
@@ -26,37 +25,10 @@ type ekey =
   | Ksel of operand * operand * operand
 
 let run f =
-  let dom = Cfg_utils.dominators f in
+  let children = Cfg_utils.dom_children f in
   let counts = Cfg_utils.def_counts f in
   let single_def r = Hashtbl.find_opt counts r = Some 1 in
   let entry = match f.blocks with b :: _ -> b.label | [] -> -1 in
-  (* children in the dominator tree: idom(l) is the strict dominator of l
-     with the largest dominator set (strict dominators of a node are
-     totally ordered, so the maximum is unique) *)
-  let children = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun l doms ->
-      if l <> entry then begin
-        let card x =
-          match Hashtbl.find_opt dom x with
-          | Some s -> Iset.cardinal s
-          | None -> 0
-        in
-        let idom =
-          Iset.fold
-            (fun d best ->
-              match best with
-              | Some b when card b >= card d -> best
-              | _ -> Some d)
-            (Iset.remove l doms) None
-        in
-        match idom with
-        | Some p ->
-          Hashtbl.replace children p
-            (l :: (try Hashtbl.find children p with Not_found -> []))
-        | None -> ()
-      end)
-    dom;
   let block_of = Hashtbl.create 16 in
   List.iter (fun b -> Hashtbl.replace block_of b.label b) f.blocks;
   let table : (ekey, int) Hashtbl.t = Hashtbl.create 64 in
@@ -114,9 +86,7 @@ let run f =
             | _ -> ());
             i)
           b.instrs;
-      List.iter visit
-        (List.sort compare
-           (try Hashtbl.find children l with Not_found -> []));
+      List.iter visit (children l);
       List.iter (fun k -> Hashtbl.remove table k) !added_keys;
       List.iter (fun d -> Hashtbl.remove defined d) !added_defs
   in
