@@ -1200,9 +1200,9 @@ let pareto_bench () =
 
 (* Compression throughput of each match-finder level over the corpus
    [.text] streams, plus the size-cache effect on batched pairwise NCD.
-   Emits machine-readable before/after numbers to BENCH_ncd.json —
-   [Greedy] is the pre-overhaul kernel, so the chained-vs-greedy speedup
-   is the overhaul's measured win.  [-quick] shrinks the measurement
+   Emits machine-readable numbers to BENCH_ncd.json.  Both levels share
+   one coder and one frequency model, so the chained-vs-greedy speedup
+   times the match finders alone.  [-quick] shrinks the measurement
    window for CI smoke runs. *)
 let ncd_bench () =
   print_string
