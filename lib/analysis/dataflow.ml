@@ -661,7 +661,10 @@ module Interval = struct
         sat_mul x.hi y.hi ]
     with
     | cands ->
-      { lo = List.fold_left min max_int cands; hi = List.fold_left max min_int cands }
+      {
+        lo = List.fold_left min max_int cands;
+        hi = List.fold_left max min_int cands;
+      }
     | exception Overflow -> top
 
   let hull x y = { lo = min x.lo y.lo; hi = max x.hi y.hi }
