@@ -619,12 +619,15 @@ end
 module Interval = struct
   (* [min_int]/[max_int] double as -∞/+∞, and an infinite bound stays
      infinite.  Concrete arithmetic wraps, so a finite bound that would
-     overflow bounds nothing: the whole operation's result is [top]. *)
+     overflow bounds nothing: the whole operation's result is [top].  A
+     finite value equal to [min_int] or [max_int] would read as infinite,
+     so it counts as an overflow too. *)
   type itv = { lo : int; hi : int }
 
   let top = { lo = min_int; hi = max_int }
-  let const n = { lo = n; hi = n }
+  let is_top v = v.lo = min_int && v.hi = max_int
   let is_inf a = a = min_int || a = max_int
+  let const n = if is_inf n then top else { lo = n; hi = n }
 
   exception Overflow
 
@@ -633,17 +636,23 @@ module Interval = struct
     else if a = max_int || b = max_int then max_int
     else
       let s = a + b in
-      if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) then
-        raise_notrace Overflow
+      if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) || is_inf s
+      then raise_notrace Overflow
       else s
 
-  let sat_neg a = if a = min_int then max_int else if a = max_int then min_int else -a
+  let sat_neg a =
+    if a = min_int then max_int
+    else if a = max_int then min_int
+    else if a = min_int + 1 then raise_notrace Overflow
+    else -a
 
-  (* products only on small finite bounds; an infinite one gives ∞ by
-     sign *)
+  (* products only on small finite bounds.  A zero factor gives 0, even
+     against an infinite bound; an infinite bound times a nonzero factor
+     gives ∞ by sign. *)
   let sat_mul a b =
     let big = 1 lsl 30 in
-    if is_inf a || is_inf b then
+    if a = 0 || b = 0 then 0
+    else if is_inf a || is_inf b then
       if (a > 0 && b > 0) || (a < 0 && b < 0) then max_int else min_int
     else if abs a >= big || abs b >= big then raise_notrace Overflow
     else a * b
@@ -652,20 +661,23 @@ module Interval = struct
     try { lo = sat_add x.lo y.lo; hi = sat_add x.hi y.hi }
     with Overflow -> top
 
-  let neg x = { lo = sat_neg x.hi; hi = sat_neg x.lo }
+  let neg x =
+    try { lo = sat_neg x.hi; hi = sat_neg x.lo } with Overflow -> top
   let sub x y = add x (neg y)
 
   let mul x y =
-    match
-      [ sat_mul x.lo y.lo; sat_mul x.lo y.hi; sat_mul x.hi y.lo;
-        sat_mul x.hi y.hi ]
-    with
-    | cands ->
-      {
-        lo = List.fold_left min max_int cands;
-        hi = List.fold_left max min_int cands;
-      }
-    | exception Overflow -> top
+    if is_top x || is_top y then top
+    else
+      match
+        [ sat_mul x.lo y.lo; sat_mul x.lo y.hi; sat_mul x.hi y.lo;
+          sat_mul x.hi y.hi ]
+      with
+      | cands ->
+        {
+          lo = List.fold_left min max_int cands;
+          hi = List.fold_left max min_int cands;
+        }
+      | exception Overflow -> top
 
   let hull x y = { lo = min x.lo y.lo; hi = max x.hi y.hi }
 

@@ -223,8 +223,9 @@ module Constprop : sig
 end
 
 (** Integer interval analysis (forward, widened after a few visits
-    of a block).  [min_int]/[max_int] double as -∞/+∞; all arithmetic
-    saturates. *)
+    of a block).  [min_int]/[max_int] double as -∞/+∞; an operation
+    whose finite bound would overflow, or land on one of them, gives
+    [top]. *)
 module Interval : sig
   type itv = { lo : int; hi : int }
 

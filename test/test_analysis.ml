@@ -337,6 +337,37 @@ let test_interval_loop_widening () =
       (c.DF.Interval.lo >= 0 && c.DF.Interval.hi <= 1)
   | DF.Interval.Unreached -> Alcotest.fail "exit unreached"
 
+(* Concrete arithmetic wraps, and [min_int]/[max_int] stand for -∞/+∞.
+   A product by exactly 0 is 0 whatever the other factor, and a finite
+   value that lands on a sentinel must not be read as infinite. *)
+let test_interval_zero_and_sentinels () =
+  let module IV = DF.Interval in
+  (* r0 is unknown; r1 is absent from the environment, so it holds 0 *)
+  let env =
+    List.fold_left IV.eval_instr
+      (DF.Imap.singleton 0 IV.top)
+      [
+        Bin (Mul, 2, Reg 0, Reg 1);
+        Bin (Mul, 3, Imm max_int, Reg 1);
+        Bin (Add, 4, Imm max_int, Reg 1);
+        Bin (Sub, 5, Reg 4, Imm max_int);
+        Un (Neg, 6, Imm (min_int + 1));
+        Bin (Sub, 7, Reg 6, Imm max_int);
+      ]
+  in
+  List.iter
+    (fun (name, r) ->
+      let v = IV.lookup env r in
+      Alcotest.(check bool)
+        (name ^ " contains 0") true
+        (v.IV.lo <= 0 && 0 <= v.IV.hi))
+    [
+      ("top * 0", 2);
+      ("max_int * 0", 3);
+      ("max_int + 0 - max_int", 5);
+      ("-(min_int + 1) - max_int", 7);
+    ]
+
 (* The two value domains cross-checked: wherever [Constprop] proves a
    register constant — at block entry, after each instruction and at
    block exit — the [Interval] fact at the same point contains that
@@ -672,4 +703,6 @@ let tests =
     Alcotest.test_case "broken pass attribution in apply_passes" `Quick
       test_broken_pass_apply_passes;
     Alcotest.test_case "lint findings" `Quick test_lint_findings;
+    Alcotest.test_case "interval zero product and sentinels" `Quick
+      test_interval_zero_and_sentinels;
   ]

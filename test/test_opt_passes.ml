@@ -478,37 +478,67 @@ let test_pass_counters_fire () =
       Alcotest.(check bool) (c ^ " fired") true (Telemetry.counter_value t c > 0))
     [ "pass.sccp.folds"; "pass.sccp.pruned_edges"; "pass.gvn.replaced" ]
 
-(* Interval bounds past 2^30 used to saturate to ±∞ by sign, so [x * x]
+(* Concrete arithmetic wraps, so an [Interval] fact that excludes the
+   wrapped value lets SCCP turn a live branch into a jump.  Each program
+   below once did: bounds past 2^30 saturated to ±∞ by sign ([x * x]
    with x in [2^32, 2^33] read as [max_int, max_int] although every
-   concrete product wraps to 0, and SCCP turned the branch on it into a
-   jump.  O2 plus each profile's SCCP flag must print what O0 prints. *)
+   product wraps to 0); a product by [0, 0] of an infinite bound gave
+   [min_int]; and a constant equal to [max_int] read as +∞.  O2 plus each
+   profile's SCCP flag must print what O0 prints. *)
 let test_sccp_interval_overflow () =
-  let prog =
-    Minic.Sema.analyze
+  let progs =
+    [
       {|int main() {
           int x = 4294967296;
           if (input(0)) x = 8589934592;
           int y = x * x;
           if (y) print_int(1); else print_int(2);
           return 0;
-        }|}
+        }|};
+      {|int main() {
+          int t = input(1) % 1;
+          int y = input(0) * t;
+          if (y) print_int(1); else print_int(2);
+          return 0;
+        }|};
+      {|int main() {
+          int m = 4611686018427387903;
+          int t = input(1) % 1;
+          int y = m * t;
+          if (y) print_int(1); else print_int(2);
+          return 0;
+        }|};
+      {|int main() {
+          int m = 4611686018427387903;
+          int t = input(1) % 1;
+          int z = m + t - m;
+          if (z) print_int(1); else print_int(2);
+          return 0;
+        }|};
+    ]
   in
   let run bin input =
     Vir.Interp.output_to_string (Vm.Machine.run bin ~input).Vm.Machine.output
   in
-  List.iter
-    (fun (profile, flag) ->
-      let o0 = Toolchain.Pipeline.compile_preset profile "O0" prog in
-      let v = Array.copy (Option.get (Toolchain.Flags.preset profile "O2")) in
-      v.(Toolchain.Flags.flag_index profile flag) <- true;
-      let opt = Toolchain.Pipeline.compile_flags profile v prog in
+  List.iteri
+    (fun i src ->
+      let prog = Minic.Sema.analyze src in
       List.iter
-        (fun input ->
-          Alcotest.(check string)
-            (Printf.sprintf "O2+%s input %d" flag input.(0))
-            (run o0 input) (run opt input))
-        [ [| 0 |]; [| 1 |] ])
-    [ (Toolchain.Flags.gcc, "-ftree-ccp"); (Toolchain.Flags.llvm, "-fsccp") ]
+        (fun (profile, flag) ->
+          let o0 = Toolchain.Pipeline.compile_preset profile "O0" prog in
+          let v =
+            Array.copy (Option.get (Toolchain.Flags.preset profile "O2"))
+          in
+          v.(Toolchain.Flags.flag_index profile flag) <- true;
+          let opt = Toolchain.Pipeline.compile_flags profile v prog in
+          List.iter
+            (fun input ->
+              Alcotest.(check string)
+                (Printf.sprintf "program %d O2+%s input %d" i flag input.(0))
+                (run o0 input) (run opt input))
+            [ [| 0; 0 |]; [| 1; 5 |] ])
+        [ (Toolchain.Flags.gcc, "-ftree-ccp"); (Toolchain.Flags.llvm, "-fsccp") ])
+    progs
 
 let tests =
   List.concat
